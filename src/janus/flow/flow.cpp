@@ -6,55 +6,11 @@
 
 namespace janus {
 
-std::string ParallelismConfig::check() const {
+std::string FlowParams::check() const {
     std::ostringstream err;
     if (workers <= 0) {
-        err << "parallel.workers must be > 0 (1 = serial), got " << workers;
-    } else if (optimize < 0) {
-        err << "parallel.optimize must be >= 0 (0 inherits workers), got "
-            << optimize;
-    } else if (place < 0) {
-        err << "parallel.place must be >= 0 (0 inherits workers), got "
-            << place;
-    } else if (route < 0) {
-        err << "parallel.route must be >= 0 (0 inherits workers), got "
-            << route;
-    } else if (sta < 0) {
-        err << "parallel.sta must be >= 0 (0 inherits workers), got " << sta;
-    } else if (place_regions < 0) {
-        err << "parallel.place_regions must be >= 0 (0 auto-sizes), got "
-            << place_regions;
-    } else if (route_panels < 0) {
-        err << "parallel.route_panels must be >= 0 (0 auto-sizes), got "
-            << route_panels;
-    }
-    return err.str();
-}
-
-std::string FlowParams::check() {
-    // Fold the deprecated per-stage worker aliases into `parallel` first
-    // (idempotent: folded aliases reset to 0). A negative alias is reported
-    // under its legacy name so old callers get a recognizable message; an
-    // explicitly-set new-style override wins over the alias.
-    std::ostringstream err;
-    const auto fold = [&err](int& alias, int& target, const char* name) {
-        if (alias < 0) {
-            err << name << " (deprecated) must be >= 0, got " << alias;
-            return;
-        }
-        if (alias > 0 && target == 0) target = alias;
-        alias = 0;
-    };
-    fold(opt_workers, parallel.optimize, "opt_workers");
-    fold(place_workers, parallel.place, "place_workers");
-    fold(route_workers, parallel.route, "route_workers");
-    fold(sta_workers, parallel.sta, "sta_workers");
-    if (!err.str().empty()) return err.str();
-
-    const std::string perr = parallel.check();
-    if (!perr.empty()) return perr;
-
-    if (utilization <= 0.0 || utilization > 1.0) {
+        err << "workers must be > 0 (1 = serial), got " << workers;
+    } else if (utilization <= 0.0 || utilization > 1.0) {
         err << "utilization must be in (0, 1], got " << utilization;
     } else if (optimize_rounds < 0) {
         err << "optimize_rounds must be >= 0, got " << optimize_rounds;

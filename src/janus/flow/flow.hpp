@@ -44,39 +44,6 @@ constexpr bool has_stage(FlowStageMask mask, FlowStageMask bit) {
     return (mask & bit) != FlowStageMask::None;
 }
 
-/// Threading configuration for one flow run. One global `workers` default
-/// covers every parallel stage; per-stage overrides exist for asymmetric
-/// machines or experiments (0 = inherit the global default). Every stage
-/// carries the same determinism contract: QoR is byte-identical for any
-/// worker count (docs/SYNTH.md, docs/PLACE.md, docs/ROUTING.md,
-/// docs/TIMING.md), so this is a pure performance knob. Replaces the four
-/// pre-PR6 `FlowParams::{opt,place,route,sta}_workers` fields.
-struct ParallelismConfig {
-    /// Default thread count for every parallel stage; 1 = serial.
-    int workers = 1;
-    // Per-stage overrides; 0 = inherit `workers`.
-    int optimize = 0;  ///< eval-parallel refactoring + tech mapping
-    int place = 0;     ///< speculative region-parallel SA detailed placement
-    int route = 0;     ///< speculative panel-parallel rip-up-and-reroute
-    int sta = 0;       ///< level-parallel timing sweeps (also sizing)
-
-    // Speculative region-ownership grids (util/speculate.hpp); 0 = auto-size
-    // from the workload. Unlike the worker knobs these are part of the
-    // schedule — two different grids give two different (each internally
-    // worker-invariant) results.
-    int place_regions = 0;  ///< SA ownership-grid tiles per die axis
-    int route_panels = 0;   ///< reroute ownership panels per gcell axis
-
-    // Effective per-stage worker counts (override or global default).
-    int opt_workers() const { return optimize > 0 ? optimize : workers; }
-    int place_workers() const { return place > 0 ? place : workers; }
-    int route_workers() const { return route > 0 ? route : workers; }
-    int sta_workers() const { return sta > 0 ? sta : workers; }
-
-    /// Empty when usable, else a description naming the bad knob.
-    std::string check() const;
-};
-
 /// Tunable flow parameters (the knobs a methodology team sweeps).
 struct FlowParams {
     int optimize_rounds = 3;       ///< AIG balance/refactor rounds
@@ -85,30 +52,23 @@ struct FlowParams {
     int sa_moves_per_cell = 0;     ///< 0 disables detailed placement
     int router_iterations = 8;
     int routing_layers = 6;
-    /// Intra-stage threading (global default + per-stage overrides).
-    ParallelismConfig parallel;
+    /// Thread count for every parallel stage (optimize, map, sa_refine,
+    /// route, sizing, sta); 1 = serial. Each stage carries the same
+    /// determinism contract — QoR is byte-identical for any worker count
+    /// (docs/SYNTH.md, docs/PLACE.md, docs/ROUTING.md, docs/TIMING.md) —
+    /// so this is a pure performance knob.
+    int workers = 1;
     FlowStageMask stages = FlowStageMask::Default;
     int scan_chains = 4;
     std::uint64_t seed = 1;
 
-    // --- deprecated aliases (pre-PR6 spelling) ----------------------------
-    // 0 = unset. check() folds a positive alias into the matching
-    // `parallel` override (the new-style override wins when both are set),
-    // so legacy callers keep byte-identical behavior. New code should set
-    // `parallel.workers` / the per-stage overrides instead.
-    int opt_workers = 0;    ///< deprecated: use parallel.optimize
-    int place_workers = 0;  ///< deprecated: use parallel.place
-    int route_workers = 0;  ///< deprecated: use parallel.route
-    int sta_workers = 0;    ///< deprecated: use parallel.sta
-
     bool enabled(FlowStageMask bit) const { return has_stage(stages, bit); }
 
-    /// Validates the parameter set and folds the deprecated `*_workers`
-    /// aliases into `parallel` (idempotent). Returns an empty string when
-    /// every knob is usable, else a description of the first problem found.
-    /// The flow engine calls this up front and throws std::invalid_argument
-    /// instead of silently misbehaving on nonsense like utilization > 1.
-    std::string check();
+    /// Returns an empty string when every knob is usable, else a
+    /// description naming the first bad knob. The flow engine calls this up
+    /// front and throws std::invalid_argument instead of silently
+    /// misbehaving on nonsense like utilization > 1.
+    std::string check() const;
 };
 
 /// Quality-of-results record of one flow run.

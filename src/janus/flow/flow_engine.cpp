@@ -39,7 +39,7 @@ bool is_sequential(const FlowContext& ctx) {
 StaOptions make_sta_options(const FlowContext& ctx) {
     StaOptions opts;
     opts.wire = WireModel::for_node(ctx.node);
-    opts.sta_workers = ctx.params.parallel.sta_workers();
+    opts.sta_workers = ctx.params.workers;
     return opts;
 }
 
@@ -87,7 +87,7 @@ FlowEngine::FlowEngine() {
         [](FlowContext& ctx) {
             ctx.aig = std::make_unique<Aig>(Aig::from_netlist(ctx.netlist));
             RewriteOptions ropts;
-            ropts.workers = ctx.params.parallel.opt_workers();
+            ropts.workers = ctx.params.workers;
             RewriteStats rs;
             *ctx.aig = optimize(*ctx.aig, ctx.params.optimize_rounds, ropts, &rs);
             ctx.trace.note("cuts", rs.cuts_evaluated);
@@ -102,7 +102,7 @@ FlowEngine::FlowEngine() {
         [](const FlowContext& ctx) { return ctx.aig != nullptr; },
         [](FlowContext& ctx) {
             TechMapOptions mopts;
-            mopts.workers = ctx.params.parallel.opt_workers();
+            mopts.workers = ctx.params.workers;
             TechMapStats ms;
             ctx.netlist =
                 tech_map(*ctx.aig, ctx.netlist.library_ptr(), mopts, &ms);
@@ -153,8 +153,7 @@ FlowEngine::FlowEngine() {
             SaPlaceOptions sopts;
             sopts.moves_per_cell = ctx.params.sa_moves_per_cell;
             sopts.seed = ctx.params.seed;
-            sopts.workers = ctx.params.parallel.place_workers();
-            sopts.region_grid = ctx.params.parallel.place_regions;
+            sopts.workers = ctx.params.workers;
             const SaPlaceResult sr = sa_refine(ctx.netlist, ctx.area, sopts);
             ctx.result.legal = ctx.result.legal && is_legal(ctx.netlist, ctx.area);
             ctx.result.hpwl_um = total_hpwl_um(ctx.netlist, ctx.area);
@@ -191,8 +190,7 @@ FlowEngine::FlowEngine() {
         const double gcell_nm =
             static_cast<double>(ctx.area.die.width()) / ropts.gcells_x;
         ropts.capacity_per_layer = 0.65 * gcell_nm / ctx.node.metal_pitch_nm;
-        ropts.route_workers = ctx.params.parallel.route_workers();
-        ropts.panel_grid = ctx.params.parallel.route_panels;
+        ropts.route_workers = ctx.params.workers;
         const GlobalRouteResult gr = route_design(ctx.netlist, ctx.area, ropts);
         ctx.result.route_wirelength = gr.total_wirelength;
         ctx.result.route_overflow = gr.total_overflow;

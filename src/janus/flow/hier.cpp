@@ -1,12 +1,14 @@
 #include "janus/flow/hier.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
 #include "janus/timing/sta.hpp"
+#include "janus/util/geometry.hpp"
 
 namespace janus {
 namespace {
@@ -208,6 +210,7 @@ Netlist extract_block(const Netlist& top, const std::vector<int>& block_of,
 
 HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
                              const HierParams& params) {
+    const auto t0 = std::chrono::steady_clock::now();
     HierFlowResult out;
     const int k = std::max(1, params.num_blocks);
 
@@ -255,15 +258,7 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
         Rect e;
         for (InstId i = 0; i < bn.num_instances(); ++i) {
             const Instance& inst = bn.instance(i);
-            if (!inst.placed) continue;
-            if (e.empty()) {
-                e = Rect(inst.position, inst.position);
-            } else {
-                e.lo.x = std::min(e.lo.x, inst.position.x);
-                e.lo.y = std::min(e.lo.y, inst.position.y);
-                e.hi.x = std::max(e.hi.x, inst.position.x);
-                e.hi.y = std::max(e.hi.y, inst.position.y);
-            }
+            if (inst.placed) e = bounding_box(e, Rect(inst.position, inst.position));
         }
         extents[static_cast<std::size_t>(b)] = e;
         max_w = std::max(max_w, e.width());
@@ -397,7 +392,7 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     // Top-level STA over the stitched, placed result.
     StaOptions sopts;
     sopts.wire = WireModel::for_node(node);
-    sopts.sta_workers = params.block_flow.parallel.sta_workers();
+    sopts.sta_workers = params.block_flow.workers;
     const TimingReport tr = run_sta(*merged, sopts);
 
     out.top.design = nl.name();
@@ -405,21 +400,14 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     out.top.area_um2 = merged->total_area();
     out.top.critical_delay_ps = tr.critical_delay_ps;
     out.top.wns_ps = tr.wns_ps;
-    out.top.legal = true;
+    // The merged design is legal only if every block came back legal.
+    out.top.legal = std::all_of(block_results.begin(), block_results.end(),
+                                [](const FlowResult& r) { return r.legal; });
     double hpwl_nm = 0;
     for (NetId n = 0; n < merged->num_nets(); ++n) {
         Rect box;
         const Net& net = merged->net(n);
-        const auto extend = [&box](const Point& p) {
-            if (box.empty()) {
-                box = Rect(p, p);
-            } else {
-                box.lo.x = std::min(box.lo.x, p.x);
-                box.lo.y = std::min(box.lo.y, p.y);
-                box.hi.x = std::max(box.hi.x, p.x);
-                box.hi.y = std::max(box.hi.y, p.y);
-            }
-        };
+        const auto extend = [&box](const Point& p) { box = bounding_box(box, Rect(p, p)); };
         if (net.driver_kind == DriverKind::Instance &&
             merged->instance(net.driver_inst).placed) {
             extend(merged->instance(net.driver_inst).position);
@@ -432,8 +420,10 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     out.top.hpwl_um = hpwl_nm / 1000.0;
     for (const FlowResult& r : block_results) {
         out.top.route_wirelength += r.route_wirelength;
-        out.top.runtime_ms += r.runtime_ms;
     }
+    out.top.runtime_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
     out.merged = std::move(merged);
     return out;
 }

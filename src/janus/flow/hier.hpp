@@ -36,7 +36,7 @@ struct HierParams {
     /// Allowed block-size imbalance: a move is rejected when it would push
     /// a block above (1 + balance_slack) * average size.
     double balance_slack = 0.10;
-    /// Per-block flow knobs (seed, utilization, stage mask, parallelism).
+    /// Per-block flow knobs (seed, utilization, stage mask, workers).
     /// Each block job gets a copy with the same seed — determinism comes
     /// from the per-job seeding, not from job isolation tricks.
     FlowParams block_flow;
@@ -72,7 +72,9 @@ struct HierBlockResult {
 
 struct HierFlowResult {
     /// Top-level QoR: merged instance/area/HPWL counts and the top STA
-    /// numbers (critical delay, WNS/TNS) over the stitched netlist.
+    /// numbers (critical delay, WNS/TNS) over the stitched netlist. `legal`
+    /// is the AND of every block's legality; `runtime_ms` is the wall time
+    /// of the whole run_hier_flow call.
     FlowResult top;
     std::vector<HierBlockResult> blocks;
     std::size_t cut_nets = 0;           ///< partition cut size

@@ -12,7 +12,7 @@
 /// against the frozen input AIG, while candidate construction and
 /// best-replacement commits stay serial in topological order. Output is
 /// byte-identical for any worker count and with the SOP memo cache on or
-/// off (the same contract route_workers/sta_workers/place_workers carry).
+/// off (the same contract the place, route and timing workers carry).
 
 #include <cstdint>
 

@@ -26,7 +26,7 @@ struct SaPlaceOptions {
     double cooling = 0.95;
     std::uint64_t seed = 1;
     /// Worker slots speculatively evaluating regions (flow knob:
-    /// FlowParams::place_workers). A pure performance knob: results are
+    /// FlowParams::workers). A pure performance knob: results are
     /// byte-identical for any value; 1 = serial.
     int workers = 1;
     /// Ownership-grid tiles per axis; 0 sizes the grid from the cell count

@@ -41,20 +41,7 @@ FlowParams parse_params(const JsonValue* params) {
     if (!params->is_object()) throw ProtocolError("params must be an object");
     for (const auto& [key, value] : params->members()) {
         if (key == "workers") {
-            p.parallel.workers = static_cast<int>(value.as_int());
-        } else if (key == "parallel") {
-            if (!value.is_object()) {
-                throw ProtocolError("params.parallel must be an object");
-            }
-            for (const auto& [pk, pv] : value.members()) {
-                const int v = static_cast<int>(pv.as_int());
-                if (pk == "workers") p.parallel.workers = v;
-                else if (pk == "optimize") p.parallel.optimize = v;
-                else if (pk == "place") p.parallel.place = v;
-                else if (pk == "route") p.parallel.route = v;
-                else if (pk == "sta") p.parallel.sta = v;
-                else throw ProtocolError("unknown params.parallel key \"" + pk + "\"");
-            }
+            p.workers = static_cast<int>(value.as_int());
         } else if (key == "optimize_rounds") {
             p.optimize_rounds = static_cast<int>(value.as_int());
         } else if (key == "utilization") {

@@ -17,7 +17,7 @@ Session::Session(std::string name, Netlist design, TechnologyNode node,
 StaOptions Session::sta_options() const {
     StaOptions opts;
     opts.wire = WireModel::for_node(ctx_.node);
-    opts.sta_workers = ctx_.params.parallel.sta_workers();
+    opts.sta_workers = ctx_.params.workers;
     return opts;
 }
 
@@ -37,7 +37,7 @@ TimingGraph& Session::warm_graph(bool* rebuilt) {
     const std::uint64_t epoch = ctx_.netlist.mutation_epoch();
     if (!graph_ || graph_epoch_ != epoch) {
         graph_ = std::make_unique<TimingGraph>(ctx_.netlist, sta_options());
-        graph_->analyze(ctx_.params.parallel.sta_workers());
+        graph_->analyze(ctx_.params.workers);
         graph_epoch_ = epoch;
         ++full_rebuilds_;
         if (rebuilt) *rebuilt = true;

@@ -84,7 +84,7 @@ class Session {
     const FlowResult& run_to(const FlowEngine& engine, std::string_view stage);
 
     /// Full timing of the current netlist state; builds/reuses the warm
-    /// graph. `sta_workers` 0 = session default.
+    /// graph, swept with FlowParams::workers threads.
     TimingOutcome timing();
 
     /// Validates every edit, then applies them atomically (all or nothing:

@@ -19,8 +19,8 @@ struct StaOptions {
     double hold_ps = 5.0;
     WireModel wire;
     /// Worker threads for the level-parallel sweeps (1 = serial). Results
-    /// are bit-identical for any value — same determinism contract as
-    /// FlowParams::route_workers (see docs/TIMING.md).
+    /// are bit-identical for any value (docs/TIMING.md). The flow fills it
+    /// from FlowParams::workers.
     int sta_workers = 1;
 };
 

@@ -66,7 +66,10 @@ void ThreadPool::run_slots(std::size_t slots,
     std::mutex err_mutex;
     std::exception_ptr first_error;
     std::size_t first_error_slot = std::numeric_limits<std::size_t>::max();
-    std::atomic<std::size_t> remaining{k};
+    // The completion count lives under done_mutex and the last slot notifies
+    // while still holding it: the caller cannot observe zero, return and
+    // destroy these stack locals until that slot has released the lock.
+    std::size_t remaining = k;
     std::mutex done_mutex;
     std::condition_variable done_cv;
 
@@ -81,14 +84,12 @@ void ThreadPool::run_slots(std::size_t slots,
                     first_error = std::current_exception();
                 }
             }
-            if (remaining.fetch_sub(1) == 1) {
-                std::lock_guard<std::mutex> lock(done_mutex);
-                done_cv.notify_all();
-            }
+            std::lock_guard<std::mutex> lock(done_mutex);
+            if (--remaining == 0) done_cv.notify_all();
         });
     }
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining.load() == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
     lock.unlock();
     if (first_error) std::rethrow_exception(first_error);
 }

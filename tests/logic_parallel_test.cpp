@@ -1,6 +1,6 @@
 // LogicParallel suite: the eval-parallel / commit-serial synthesis front
 // end (docs/SYNTH.md) must produce byte-identical AIGs and mapped netlists
-// for any opt_workers value and with the SOP memo cache on or off. Builds
+// for any worker count and with the SOP memo cache on or off. Builds
 // as its own binary (like flow_engine_test / timing_graph_test) so `ctest
 // -R LogicParallel` under -DJANUS_TSAN=ON race-checks the concurrent cut
 // enumeration, cut evaluation, memo cache, and matching sweeps.
@@ -407,17 +407,6 @@ TEST(RewriteParallel, TechMapByteIdenticalAcrossWorkers) {
 // ----------------------------------------------------- flow integration
 
 TEST(FlowSynth, OptWorkersValidatedAndInvisibleInQoR) {
-    FlowParams params;
-    params.parallel.optimize = -2;
-    EXPECT_NE(params.check().find("parallel.optimize"), std::string::npos);
-    params.parallel.optimize = 0;
-    EXPECT_TRUE(params.check().empty());
-    params.opt_workers = -2;  // deprecated alias still validates
-    EXPECT_NE(params.check().find("opt_workers"), std::string::npos);
-    params.opt_workers = 4;  // and folds into parallel.optimize
-    EXPECT_TRUE(params.check().empty());
-    EXPECT_EQ(params.parallel.opt_workers(), 4);
-
     GeneratorConfig cfg;
     cfg.num_gates = 400;
     cfg.seed = 9;
@@ -426,7 +415,7 @@ TEST(FlowSynth, OptWorkersValidatedAndInvisibleInQoR) {
     FlowParams serial;
     serial.optimize_rounds = 2;
     FlowParams parallel = serial;
-    parallel.parallel.optimize = 4;
+    parallel.workers = 4;
     const FlowResult a = run_flow(nl, node, serial);
     const FlowResult b = run_flow(nl, node, parallel);
     EXPECT_EQ(a.instances, b.instances);
@@ -444,7 +433,7 @@ TEST(FlowSynth, OptimizeAndMapStagesEmitDetail) {
     const Netlist nl = generate_random(lib28(), cfg);
     FlowParams params;
     params.optimize_rounds = 2;
-    params.parallel.optimize = 2;
+    params.workers = 2;
     FlowEngine engine;
     FlowContext ctx(nl, *find_node("28nm"), params);
     engine.run_to(ctx, "map");

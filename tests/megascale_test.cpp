@@ -2,10 +2,13 @@
 /// memory_bytes() accounting, CSR sinks() equivalence against a from-scratch
 /// fanin scan across randomized mutations, and open-addressed strash
 /// unique-table equivalence (same hit count, same literals) against a
-/// reference std::unordered_map.
+/// reference std::unordered_map. Also the hierarchical flow's top-level
+/// record: legality, wall-clock runtime and pinned stitch geometry.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -13,8 +16,10 @@
 #include <utility>
 #include <vector>
 
+#include "janus/flow/hier.hpp"
 #include "janus/logic/aig.hpp"
 #include "janus/netlist/cell_library.hpp"
+#include "janus/netlist/generator.hpp"
 #include "janus/netlist/netlist.hpp"
 #include "janus/netlist/technology.hpp"
 #include "janus/util/rng.hpp"
@@ -256,6 +261,57 @@ TEST(MegascaleStrash, MemoryBytesTracksTableGrowth) {
     // slot per stored AND at max load factor, plus the fanin arrays.
     EXPECT_GE(aig.memory_bytes(),
               small + aig.num_ands() * (2 * sizeof(AigLit) + 12));
+}
+
+// ------------------------------------------------------ hierarchical flow
+
+/// Three-block hier run of a small pipelined mesh at `utilization`.
+HierFlowResult run_small_hier(double utilization) {
+    const Netlist nl = generate_mesh(lib28(), 1500, 5, 2);
+    HierParams hp;
+    hp.num_blocks = 3;
+    hp.workers = 2;
+    hp.block_flow.seed = 3;
+    hp.block_flow.utilization = utilization;
+    return run_hier_flow(nl, *find_node("28nm"), hp);
+}
+
+TEST(MegascaleHier, TopLegalIsTheAndOfBlocksAndRuntimeIsWallTime) {
+    // Full utilization over-fills the legalizer's last row in every block.
+    const auto t0 = std::chrono::steady_clock::now();
+    const HierFlowResult r = run_small_hier(1.0);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    ASSERT_FALSE(r.top.failed()) << r.top.error;
+    ASSERT_EQ(r.blocks.size(), 3u);
+    const bool any_illegal =
+        std::any_of(r.blocks.begin(), r.blocks.end(),
+                    [](const HierBlockResult& b) { return !b.flow.legal; });
+    ASSERT_TRUE(any_illegal) << "utilization 1.0 no longer breaks legality";
+    EXPECT_FALSE(r.top.legal);
+
+    double max_block_ms = 0;
+    for (const HierBlockResult& b : r.blocks) {
+        max_block_ms = std::max(max_block_ms, b.flow.runtime_ms);
+    }
+    EXPECT_GE(r.top.runtime_ms, max_block_ms);
+    EXPECT_LE(r.top.runtime_ms, wall_ms);
+}
+
+TEST(MegascaleHier, TopHpwlAndBlockPlacementsArePinned) {
+    const HierFlowResult r = run_small_hier(0.65);
+    ASSERT_FALSE(r.top.failed()) << r.top.error;
+    EXPECT_TRUE(r.top.legal);
+    EXPECT_EQ(r.top.hpwl_um, 7070.68);
+    const Rect expected[] = {{0, 0, 16000, 16800},
+                             {17080, 0, 33280, 16800},
+                             {0, 18480, 16100, 36080}};
+    ASSERT_EQ(r.blocks.size(), std::size(expected));
+    for (std::size_t b = 0; b < r.blocks.size(); ++b) {
+        EXPECT_TRUE(r.blocks[b].flow.legal) << "block " << b;
+        EXPECT_EQ(r.blocks[b].placement, expected[b]) << "block " << b;
+    }
 }
 
 }  // namespace

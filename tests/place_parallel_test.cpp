@@ -250,18 +250,9 @@ TEST(PlaceParallel, LegalityRoundTripAfterParallelRefine) {
 
 TEST(PlaceParallel, FlowParamsValidatePlaceWorkers) {
     FlowParams p;
-    p.parallel.place = -2;
-    EXPECT_NE(p.check().find("parallel.place"), std::string::npos);
-    p.parallel.place = 0;
-    EXPECT_TRUE(p.check().empty());
-    p.place_workers = -2;  // deprecated alias still validates
-    EXPECT_NE(p.check().find("place_workers"), std::string::npos);
-    p.place_workers = 8;  // and folds into parallel.place
-    EXPECT_TRUE(p.check().empty());
-    EXPECT_EQ(p.parallel.place_workers(), 8);
-    p.parallel.place_regions = -1;
-    EXPECT_NE(p.check().find("parallel.place_regions"), std::string::npos);
-    p.parallel.place_regions = 4;  // explicit grids are valid
+    p.workers = -2;
+    EXPECT_NE(p.check().find("workers"), std::string::npos);
+    p.workers = 8;
     EXPECT_TRUE(p.check().empty());
 }
 
@@ -272,7 +263,7 @@ TEST(PlaceParallel, FlowStagesTracePlacementDetail) {
     Netlist nl = generate_random(lib28(), cfg);
     FlowParams params;
     params.sa_moves_per_cell = 10;
-    params.parallel.place = 2;
+    params.workers = 2;
     FlowContext ctx(std::move(nl), *find_node("28nm"), params);
     FlowEngine engine;
     engine.run_to(ctx, "sa_refine");

@@ -159,29 +159,10 @@ TEST(RouteParallel, ExplicitPanelGridIsWorkerInvariant) {
 
 TEST(RouteParallel, FlowParamsValidateRouteWorkers) {
     FlowParams p;
-    p.parallel.route = -3;
-    EXPECT_NE(p.check().find("parallel.route"), std::string::npos);
-    p.parallel.route = 0;  // 0 = inherit the global default
+    p.workers = 8;
     EXPECT_TRUE(p.check().empty());
-    p.parallel.route_panels = -2;
-    EXPECT_NE(p.check().find("parallel.route_panels"), std::string::npos);
-    p.parallel.route_panels = 4;  // explicit panelings are valid
-    EXPECT_TRUE(p.check().empty());
-    p.parallel.workers = 0;
-    EXPECT_NE(p.check().find("parallel.workers"), std::string::npos);
-}
-
-TEST(RouteParallel, DeprecatedRouteWorkersAliasFoldsIntoParallel) {
-    FlowParams p;
-    p.route_workers = -3;  // legacy spelling still validates
-    EXPECT_NE(p.check().find("route_workers"), std::string::npos);
-    p.route_workers = 8;
-    EXPECT_TRUE(p.check().empty());
-    EXPECT_EQ(p.parallel.route, 8);  // alias folded into the new config
-    EXPECT_EQ(p.parallel.route_workers(), 8);
-    EXPECT_EQ(p.route_workers, 0);  // consumed; check() is idempotent
-    EXPECT_TRUE(p.check().empty());
-    EXPECT_EQ(p.parallel.route, 8);
+    p.workers = 0;
+    EXPECT_NE(p.check().find("workers"), std::string::npos);
 }
 
 TEST(RouteParallel, FlowRouteStageTracesSpeculationAndWorkers) {
@@ -190,7 +171,7 @@ TEST(RouteParallel, FlowRouteStageTracesSpeculationAndWorkers) {
     cfg.seed = 5;
     Netlist nl = generate_random(lib28(), cfg);
     FlowParams params;
-    params.parallel.route = 2;
+    params.workers = 2;
     FlowContext ctx(std::move(nl), *find_node("28nm"), params);
     FlowEngine engine;
     engine.run_to(ctx, "route");

@@ -221,36 +221,6 @@ TEST(Scheduler, RunBatchSurvivesThrowingStage) {
     EXPECT_TRUE(again[1].failed());
 }
 
-// Deprecation shims: the legacy per-stage worker knobs must keep compiling
-// and produce byte-identical results to the new spelling.
-TEST(Scheduler, LegacyWorkerKnobsMatchParallelConfig) {
-    GeneratorConfig cfg;
-    cfg.num_gates = 180;
-    cfg.seed = 11;
-    const Netlist nl = generate_random(lib28(), cfg);
-    const TechnologyNode node = *find_node("28nm");
-
-    FlowParams legacy;
-    legacy.opt_workers = 2;
-    legacy.place_workers = 2;
-    legacy.route_workers = 2;
-    legacy.sta_workers = 2;
-    legacy.sa_moves_per_cell = 4;
-
-    FlowParams modern;
-    modern.parallel.workers = 2;
-    modern.sa_moves_per_cell = 4;
-
-    const FlowResult a = run_flow(nl, node, legacy);
-    const FlowResult b = run_flow(nl, node, modern);
-    EXPECT_EQ(a.instances, b.instances);
-    EXPECT_EQ(a.hpwl_um, b.hpwl_um);
-    EXPECT_EQ(a.route_wirelength, b.route_wirelength);
-    EXPECT_EQ(a.critical_delay_ps, b.critical_delay_ps);
-    EXPECT_EQ(a.total_power_mw, b.total_power_mw);
-    EXPECT_EQ(netlist_to_string(*a.mapped), netlist_to_string(*b.mapped));
-}
-
 // --------------------------------------------------- in-process protocol
 
 FlowServerOptions small_server_opts(int workers = 2,
@@ -303,6 +273,26 @@ TEST(FlowServerTest, PingAndMalformedRequestRejection) {
     // The server is still alive after every rejection.
     EXPECT_EQ(request_ok(server, "{\"cmd\":\"ping\"}").get_string("reply"),
               "pong");
+}
+
+// The top-level "workers" key is the only wire spelling of the thread
+// count; the old per-stage "parallel" object is an unknown key.
+TEST(FlowServerTest, ParallelParamsObjectIsAnUnknownKey) {
+    FlowServer server(*find_node("28nm"), small_server_opts());
+    JsonValue req = JsonValue::object();
+    req.set("cmd", "submit_design");
+    req.set("session", "s");
+    req.set("netlist", mesh_text(100, 3, 0));
+    JsonValue parallel = JsonValue::object();
+    parallel.set("workers", 2);
+    JsonValue params = JsonValue::object();
+    params.set("parallel", std::move(parallel));
+    req.set("params", std::move(params));
+    const JsonValue resp = parse_json(server.handle_request(req.dump()));
+    EXPECT_EQ(resp.get_string("status"), "error");
+    EXPECT_NE(resp.get_string("error").find("unknown params key \"parallel\""),
+              std::string::npos)
+        << resp.dump();
 }
 
 TEST(FlowServerTest, SubmitRunTraceLifecycle) {

@@ -553,18 +553,14 @@ TEST(TimingGraph, IncrementalSizingMatchesLegacyQoR) {
 }
 
 TEST(TimingGraph, FlowParamsValidateStaWorkers) {
+    // check() is const: validating never rewrites the knobs it reads.
     FlowParams p;
-    p.parallel.sta = -1;
-    const std::string err = p.check();
-    EXPECT_NE(err.find("parallel.sta"), std::string::npos);
-    p.parallel.sta = 4;
-    EXPECT_TRUE(p.check().empty());
-    FlowParams legacy;
-    legacy.sta_workers = -1;  // deprecated alias still validates
-    EXPECT_NE(legacy.check().find("sta_workers"), std::string::npos);
-    legacy.sta_workers = 4;  // and folds into parallel.sta
-    EXPECT_TRUE(legacy.check().empty());
-    EXPECT_EQ(legacy.parallel.sta_workers(), 4);
+    p.workers = -1;
+    const FlowParams& view = p;
+    EXPECT_NE(view.check().find("workers"), std::string::npos);
+    EXPECT_EQ(p.workers, -1);
+    p.workers = 4;
+    EXPECT_TRUE(view.check().empty());
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
 #include "janus/util/disjoint_set.hpp"
 #include "janus/util/geometry.hpp"
 #include "janus/util/rng.hpp"
 #include "janus/util/stats.hpp"
+#include "janus/util/thread_pool.hpp"
 
 namespace janus {
 namespace {
@@ -202,6 +204,24 @@ TEST(DisjointSet, AddGrows) {
     EXPECT_EQ(ds.num_sets(), 3u);
     ds.unite(id, 0);
     EXPECT_TRUE(ds.same(2, 0));
+}
+
+// ------------------------------------------------------------- thread pool
+
+// Many back-to-back run_slots calls with trivial bodies: each call's
+// completion mutex and condvar live on the caller's stack, so a slot that
+// touches them after the caller has returned is a use-after-scope that
+// -DJANUS_TSAN=ON / -DJANUS_ASAN=ON builds of this test catch.
+TEST(ThreadPool, RunSlotsBackToBackCallsSettleCleanly) {
+    ThreadPool pool(4);
+    std::atomic<std::size_t> ran{0};
+    constexpr std::size_t kCalls = 2000;
+    for (std::size_t call = 0; call < kCalls; ++call) {
+        pool.run_slots(4, [&ran](std::size_t) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+        });
+    }
+    EXPECT_EQ(ran.load(), kCalls * 4);
 }
 
 }  // namespace
