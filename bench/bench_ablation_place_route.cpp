@@ -36,9 +36,7 @@ int main() {
             const auto t0 = std::chrono::steady_clock::now();
             analytic_place(nl, area, opts);
             legalize(nl, area);
-            const double ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
+            const double ms = bench::ms_since(t0);
             const double hpwl = total_hpwl_um(nl, area);
             std::printf("%10d %8d %14.0f %10.0f\n", iters, spread / 4, hpwl, ms);
             if (iters == 50 && spread == 0) hpwl_low = hpwl;
@@ -82,9 +80,7 @@ int main() {
                 node.metal_pitch_nm;
             const auto t0 = std::chrono::steady_clock::now();
             const auto r = route_design(nl, area, opts);
-            const double ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
+            const double ms = bench::ms_since(t0);
             std::printf("%14s %10d %12zu %10.0f %10.0f\n",
                         engine == RouteEngine::Maze ? "pattern+maze" : "line-search",
                         iters, r.total_wirelength, r.total_overflow, ms);

@@ -67,9 +67,7 @@ int main() {
         std::vector<StageTrace> traces;
         const auto t0 = std::chrono::steady_clock::now();
         auto results = engine.run_batch(jobs, workers, &traces);
-        const double secs =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
+        const double secs = bench::ms_since(t0) / 1000.0;
         const double ipd =
             static_cast<double>(total_instances) / secs * 86400.0;
         if (workers == 1) {
@@ -105,7 +103,7 @@ int main() {
                     by_stage[s].second, skips[s]);
     }
 
-    const std::string json = stage_trace_json(serial_traces.front());
+    const std::string json = stage_trace_json(serial_traces.front()).dump();
     std::printf("\nStageTrace JSON (job 0 of %zu; all %zu recorded):\n%s\n",
                 kJobs, serial_traces.size(), json.c_str());
 
@@ -133,9 +131,7 @@ int main() {
         std::vector<StageTrace> traces;
         const auto t0 = std::chrono::steady_clock::now();
         engine.run_batch(jobs, 4, &traces);
-        const double four_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
+        const double four_s = bench::ms_since(t0) / 1000.0;
         bench::shape_check("4 workers achieve >= 2.5x serial instances/day",
                            serial_s / four_s >= 2.5);
     } else {

@@ -1,19 +1,22 @@
 #pragma once
 /// \file bench_common.hpp
 /// Shared helpers for the experiment benches (E1..E13): library/netlist
-/// construction and uniform claim/shape-check reporting.
+/// construction, uniform claim/shape-check reporting, wall-clock timing and
+/// the BENCH_*.json ledger writer.
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "janus/netlist/cell_library.hpp"
 #include "janus/netlist/generator.hpp"
+#include "janus/scenario/scenario.hpp"
+#include "janus/server/protocol.hpp"
 
 namespace janus::bench {
 
@@ -45,50 +48,39 @@ inline std::string resolve_bench_path(const std::string& file) {
     if (const char* env = std::getenv("JANUS_BENCH_OUT")) {
         if (env[0] != '\0') return (fs::path(env) / file).string();
     }
-    std::error_code ec;
-    for (fs::path dir = fs::current_path(ec); !dir.empty() && !ec;
-         dir = dir.parent_path()) {
-        if (fs::exists(dir / "ROADMAP.md", ec)) return (dir / file).string();
-        if (dir == dir.root_path()) break;
-    }
-    return file;
+    const std::string root = scenario::find_repo_root();
+    return root.empty() ? file : (fs::path(root) / file).string();
 }
 
-/// Read-modify-write of a shared machine-readable bench file such as
-/// BENCH_route.json: one `"name": {payload}` entry per line, so independent
-/// bench binaries each own a key without needing a JSON parser. Re-running
-/// a bench replaces its entry in place. Bare filenames resolve to the repo
+/// Read-modify-write of a shared machine-readable bench ledger such as
+/// BENCH_route.json: one JSON object whose members are the benches'
+/// entries, rendered one `"name": {payload}` entry per line
+/// (JsonValue::dump_lines). Re-running a bench replaces its entry in place.
+/// A missing file counts as `{}`; a malformed one throws naming the path
+/// rather than being silently rewritten. Bare filenames resolve to the repo
 /// root (resolve_bench_path); returns the path actually written.
 inline std::string write_json_entry(const std::string& file,
                                     const std::string& name,
-                                    const std::string& payload) {
+                                    const server::JsonValue& payload) {
     const std::string path = resolve_bench_path(file);
-    std::vector<std::pair<std::string, std::string>> entries;
-    {
-        std::ifstream in(path);
-        std::string line;
-        while (std::getline(in, line)) {
-            const auto q0 = line.find('"');
-            if (q0 == std::string::npos) continue;  // braces / blank lines
-            const auto q1 = line.find('"', q0 + 1);
-            if (q1 == std::string::npos) continue;
-            const std::string key = line.substr(q0 + 1, q1 - q0 - 1);
-            const auto colon = line.find(':', q1);
-            if (colon == std::string::npos || key == name) continue;
-            std::string value = line.substr(colon + 1);
-            if (!value.empty() && value.back() == ',') value.pop_back();
-            entries.emplace_back(key, value);
-        }
+    server::JsonValue ledger;
+    try {
+        ledger = scenario::load_baseline(path);  // null when the file is missing
+        ledger.set(name, payload);               // throws unless an object
+    } catch (const server::ProtocolError& e) {
+        throw std::runtime_error("bench ledger " + path + ": " + e.what());
     }
-    entries.emplace_back(name, " " + payload);
     std::ofstream out(path, std::ios::trunc);
-    out << "{\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        out << "\"" << entries[i].first << "\":" << entries[i].second
-            << (i + 1 < entries.size() ? "," : "") << "\n";
-    }
-    out << "}\n";
+    out << ledger.dump_lines();
+    if (!out) throw std::runtime_error("bench ledger " + path + ": write failed");
     return path;
+}
+
+/// Wall milliseconds elapsed since `t0`.
+inline double ms_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
 }  // namespace janus::bench

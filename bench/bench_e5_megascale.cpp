@@ -124,8 +124,7 @@ RunStats run_megascale(const Netlist& nl, const TechnologyNode& node,
     const auto t0 = std::chrono::steady_clock::now();
     RunStats rs;
     rs.hier = run_hier_flow(nl, node, hp);
-    rs.flow_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                    .count();
+    rs.flow_s = bench::ms_since(t0) / 1000.0;
     rs.inst_per_day =
         static_cast<double>(nl.num_instances()) / rs.flow_s * 86400.0;
     return rs;
@@ -180,8 +179,7 @@ int main(int argc, char** argv) {
     std::printf("generating %zu-gate pipelined mesh...\n", kGates);
     const auto g0 = std::chrono::steady_clock::now();
     Netlist nl = generate_mesh(lib, kGates, 15, 4);
-    const double gen_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - g0).count();
+    const double gen_s = bench::ms_since(g0) / 1000.0;
     std::printf("  %zu instances, %zu nets in %.1f s\n", nl.num_instances(),
                 nl.num_nets(), gen_s);
 
@@ -225,22 +223,23 @@ int main(int argc, char** argv) {
                 rs.flow_s, rs.inst_per_day, peak_rss_mb());
 
     {
-        char payload[768];
-        std::snprintf(
-            payload, sizeof payload,
-            "{\"instances\": %zu, \"nets\": %zu, \"bytes_per_inst\": %.2f, "
-            "\"legacy_bytes_per_inst\": %.2f, \"shrink_ratio\": %.2f, "
-            "\"blocks\": %d, \"cut_nets\": %zu, \"stitched_nets\": %zu, "
-            "\"flow_s\": %.1f, \"inst_per_day\": %.3e, \"peak_rss_mb\": %.1f, "
-            "\"critical_delay_ps\": %.1f, \"wns_ps\": %.1f, "
-            "\"route_wirelength\": %zu, \"aig_strash_hits\": %llu}",
-            nl.num_instances(), nl.num_nets(), bpi, legacy_bpi,
-            legacy_bpi / bpi, kBlocks, hier.cut_nets, hier.stitched_nets,
-            rs.flow_s, rs.inst_per_day, peak_rss_mb(),
-            hier.top.critical_delay_ps, hier.top.wns_ps,
-            hier.top.route_wirelength,
-            static_cast<unsigned long long>(aig.strash_hits()));
-        bench::write_json_entry("BENCH_megascale.json", "e5_megascale", payload);
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("instances", nl.num_instances());
+        entry.set("nets", nl.num_nets());
+        entry.set("bytes_per_inst", bpi);
+        entry.set("legacy_bytes_per_inst", legacy_bpi);
+        entry.set("shrink_ratio", legacy_bpi / bpi);
+        entry.set("blocks", kBlocks);
+        entry.set("cut_nets", hier.cut_nets);
+        entry.set("stitched_nets", hier.stitched_nets);
+        entry.set("flow_s", rs.flow_s);
+        entry.set("inst_per_day", rs.inst_per_day);
+        entry.set("peak_rss_mb", peak_rss_mb());
+        entry.set("critical_delay_ps", hier.top.critical_delay_ps);
+        entry.set("wns_ps", hier.top.wns_ps);
+        entry.set("route_wirelength", hier.top.route_wirelength);
+        entry.set("aig_strash_hits", aig.strash_hits());
+        bench::write_json_entry("BENCH_megascale.json", "e5_megascale", entry);
         std::printf("wrote BENCH_megascale.json entry e5_megascale\n");
     }
 

@@ -88,15 +88,14 @@ int main() {
     }
 
     {
-        char payload[512];
-        std::snprintf(payload, sizeof payload,
-                      "{\"instances\": %zu, \"inst_per_day\": %.3e, "
-                      "\"route_ms\": %.0f, \"cells_expanded\": %zu, "
-                      "\"pattern_cells\": %zu, \"overflow\": %.1f}",
-                      last_instances, last_ipd, last_route_ms, last_expanded,
-                      last_pattern, last_overflow);
-        bench::write_json_entry("BENCH_route.json", "e5_pnr_throughput",
-                                payload);
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("instances", last_instances);
+        entry.set("inst_per_day", last_ipd);
+        entry.set("route_ms", last_route_ms);
+        entry.set("cells_expanded", last_expanded);
+        entry.set("pattern_cells", last_pattern);
+        entry.set("overflow", last_overflow);
+        bench::write_json_entry("BENCH_route.json", "e5_pnr_throughput", entry);
         std::printf("\nwrote BENCH_route.json entry e5_pnr_throughput\n");
     }
 

@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
     SaPlaceOptions sopts;
     sopts.moves_per_cell = 12;
 
-    const auto tick = [] { return std::chrono::steady_clock::now(); };
     SaPlaceResult base;
     Netlist base_out = base_nl;  // overwritten by the serial run's output
     double serial_ms = 0, four_ms = 0;
@@ -149,10 +148,9 @@ int main(int argc, char** argv) {
         Netlist nl = base_nl;
         SaPlaceOptions opts = sopts;
         opts.workers = workers;
-        const auto t0 = tick();
+        const auto t0 = std::chrono::steady_clock::now();
         SaPlaceResult res = sa_refine(nl, area, opts);
-        const double ms =
-            std::chrono::duration<double, std::milli>(tick() - t0).count();
+        const double ms = bench::ms_since(t0);
         std::printf("%8d %10.0f %8zu %8zu %11.0f %12.0f %5.2fx\n", workers,
                     ms, res.rounds, res.commit_aborts, res.moves_per_round(),
                     res.final_hpwl_um, workers == 1 ? 1.0 : serial_ms / ms);
@@ -169,21 +167,22 @@ int main(int argc, char** argv) {
     const double refine_ipd = static_cast<double>(base_nl.num_instances()) /
                               (four_ms / 1000.0) * 86400.0;
     {
-        char payload[512];
-        std::snprintf(payload, sizeof payload,
-                      "{\"instances\": %zu, \"refine_inst_per_day_4w\": %.3e, "
-                      "\"refine_ms_1w\": %.0f, \"refine_ms_4w\": %.0f, "
-                      "\"moves\": %zu, \"accepted\": %zu, \"regions\": %zu, "
-                      "\"rounds\": %zu, \"aborts\": %zu, "
-                      "\"moves_per_round\": %.1f, \"commit_rate\": %.4f, "
-                      "\"hpwl_before_um\": %.1f, \"hpwl_after_um\": %.1f}",
-                      base_nl.num_instances(), refine_ipd, serial_ms, four_ms,
-                      base.total_moves, base.accepted_moves, base.regions,
-                      base.rounds, base.commit_aborts, base.moves_per_round(),
-                      base.commit_rate(), base.initial_hpwl_um,
-                      base.final_hpwl_um);
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("instances", base_nl.num_instances());
+        entry.set("refine_inst_per_day_4w", refine_ipd);
+        entry.set("refine_ms_1w", serial_ms);
+        entry.set("refine_ms_4w", four_ms);
+        entry.set("moves", base.total_moves);
+        entry.set("accepted", base.accepted_moves);
+        entry.set("regions", base.regions);
+        entry.set("rounds", base.rounds);
+        entry.set("aborts", base.commit_aborts);
+        entry.set("moves_per_round", base.moves_per_round());
+        entry.set("commit_rate", base.commit_rate());
+        entry.set("hpwl_before_um", base.initial_hpwl_um);
+        entry.set("hpwl_after_um", base.final_hpwl_um);
         const std::string path = bench::write_json_entry(
-            "BENCH_place.json", "place_parallel", payload);
+            "BENCH_place.json", "place_parallel", entry);
         std::printf("\nwrote %s entry place_parallel\n", path.c_str());
     }
 

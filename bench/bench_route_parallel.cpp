@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
     GlobalRouteOptions ropts;
     const Netlist nl = make_design(lib, node, 150000, 0.55, &area, &ropts);
 
-    const auto tick = [] { return std::chrono::steady_clock::now(); };
     GlobalRouteResult base;
     double serial_ms = 0, four_ms = 0;
     bool all_identical = true;
@@ -156,10 +155,9 @@ int main(int argc, char** argv) {
     for (const int workers : {1, 2, 4, 8}) {
         GlobalRouteOptions opts = ropts;
         opts.route_workers = workers;
-        const auto t0 = tick();
+        const auto t0 = std::chrono::steady_clock::now();
         auto res = route_design(nl, area, opts);
-        const double ms =
-            std::chrono::duration<double, std::milli>(tick() - t0).count();
+        const double ms = bench::ms_since(t0);
         std::printf("%8d %10.0f %7zu %8zu %10.0f %10.0f %5.2fx\n", workers,
                     ms, res.reroute_rounds, res.reroute_conflicts,
                     res.nets_per_round(), res.total_overflow,
@@ -176,21 +174,21 @@ int main(int argc, char** argv) {
     const double route_ipd = static_cast<double>(nl.num_instances()) /
                              (four_ms / 1000.0) * 86400.0;
     {
-        char payload[512];
-        std::snprintf(payload, sizeof payload,
-                      "{\"instances\": %zu, \"route_inst_per_day_4w\": %.3e, "
-                      "\"route_ms_1w\": %.0f, \"route_ms_4w\": %.0f, "
-                      "\"rounds\": %zu, \"conflicts\": %zu, "
-                      "\"speculated\": %zu, \"committed\": %zu, "
-                      "\"nets_per_round\": %.1f, \"commit_rate\": %.4f, "
-                      "\"cells_expanded\": %zu, \"overflow\": %.1f}",
-                      nl.num_instances(), route_ipd, serial_ms, four_ms,
-                      base.reroute_rounds, base.reroute_conflicts,
-                      base.speculated_nets, base.committed_nets,
-                      base.nets_per_round(), base.commit_rate(),
-                      base.search_cells_expanded, base.total_overflow);
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("instances", nl.num_instances());
+        entry.set("route_inst_per_day_4w", route_ipd);
+        entry.set("route_ms_1w", serial_ms);
+        entry.set("route_ms_4w", four_ms);
+        entry.set("rounds", base.reroute_rounds);
+        entry.set("conflicts", base.reroute_conflicts);
+        entry.set("speculated", base.speculated_nets);
+        entry.set("committed", base.committed_nets);
+        entry.set("nets_per_round", base.nets_per_round());
+        entry.set("commit_rate", base.commit_rate());
+        entry.set("cells_expanded", base.search_cells_expanded);
+        entry.set("overflow", base.total_overflow);
         const std::string path = bench::write_json_entry(
-            "BENCH_route.json", "route_parallel", payload);
+            "BENCH_route.json", "route_parallel", entry);
         std::printf("\nwrote %s entry route_parallel\n", path.c_str());
     }
 

@@ -105,9 +105,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<ScenarioResult> results =
         scenario::run_scenarios(cells, corpus, lib, /*workers=*/4);
-    const double sweep_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
+    const double sweep_ms = bench::ms_since(t0);
 
     std::printf("%-34s %9s %8s %9s %10s %9s\n", "scenario", "insts", "wl",
                 "wns_ps", "corner_wns", "time_ms");
@@ -175,15 +173,15 @@ int main(int argc, char** argv) {
     // ---- machine-readable entry. The smoke run is a ctest gate and must
     // leave the committed BENCH_scenarios.json untouched.
     if (!smoke) {
-        std::string payload = "{\"mode\": \"";
-        payload += update ? "update" : "full";
-        payload += "\", \"scenarios\": " + std::to_string(results.size()) +
-                   ", \"designs\": " + std::to_string(kDesigns.size()) +
-                   ", \"regressions\": " + std::to_string(regressions.size()) +
-                   ", \"identity_failures\": " + std::to_string(identity_fail) +
-                   ", \"sweep_ms\": " + std::to_string(sweep_ms) + "}";
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("mode", update ? "update" : "full");
+        entry.set("scenarios", results.size());
+        entry.set("designs", kDesigns.size());
+        entry.set("regressions", regressions.size());
+        entry.set("identity_failures", identity_fail);
+        entry.set("sweep_ms", sweep_ms);
         const std::string out =
-            bench::write_json_entry("BENCH_scenarios.json", "scenarios", payload);
+            bench::write_json_entry("BENCH_scenarios.json", "scenarios", entry);
         std::printf("\nwrote %s\n", out.c_str());
     }
     return pass ? 0 : 1;

@@ -14,16 +14,15 @@
 /// Eco-priority admission actually jumped the batch queue.
 ///
 /// `--smoke` shrinks the design and request counts to a ~2 s run (the
-/// ctest registration).
+/// ctest registration) and writes no ledger entry.
 ///
-/// Results land in BENCH_server.json via bench_common::write_json_entry.
+/// Full-run results land in BENCH_server.json via bench::write_json_entry.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,13 +41,9 @@ using server::JanusClient;
 using server::JsonValue;
 using server::parse_json;
 
-namespace {
+using bench::ms_since;
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
+namespace {
 
 JsonValue must_ok(const std::string& reply, const char* what) {
     JsonValue v = parse_json(reply);
@@ -295,24 +290,26 @@ int main(int argc, char** argv) {
     bench::shape_check("batch flows completed during interactive load",
                        batch_flows.load() > 0);
 
-    std::ostringstream payload;
-    payload << "{\"mode\":\"" << (smoke ? "smoke" : "full") << "\""
-            << ",\"instances\":" << ref.instances
-            << ",\"flow_ms\":" << flow_ms
-            << ",\"eco_ms\":" << eco_ms
-            << ",\"eco_evals\":" << evals
-            << ",\"full_evals\":" << full_evals
-            << ",\"eval_ratio\":" << ratio
-            << ",\"byte_identical\":" << (identical ? "true" : "false")
-            << ",\"interactive_reqs\":" << all.size()
-            << ",\"req_per_s\":" << req_per_s
-            << ",\"p50_ms\":" << p50
-            << ",\"p99_ms\":" << p99
-            << ",\"batch_flows\":" << batch_flows.load()
-            << ",\"eco_preempts\":" << stats.get_int("eco_preempts")
-            << ",\"workers\":" << opts.workers << "}";
-    bench::write_json_entry("BENCH_server.json",
-                            smoke ? "server_smoke" : "server", payload.str());
-    std::printf("\nwrote BENCH_server.json\n");
+    // The smoke run is a ctest gate and leaves no ledger behind.
+    if (!smoke) {
+        JsonValue entry = JsonValue::object();
+        entry.set("instances", ref.instances);
+        entry.set("flow_ms", flow_ms);
+        entry.set("eco_ms", eco_ms);
+        entry.set("eco_evals", evals);
+        entry.set("full_evals", full_evals);
+        entry.set("eval_ratio", ratio);
+        entry.set("byte_identical", identical);
+        entry.set("interactive_reqs", all.size());
+        entry.set("req_per_s", req_per_s);
+        entry.set("p50_ms", p50);
+        entry.set("p99_ms", p99);
+        entry.set("batch_flows", batch_flows.load());
+        entry.set("eco_preempts", stats.get_int("eco_preempts"));
+        entry.set("workers", opts.workers);
+        const std::string path =
+            bench::write_json_entry("BENCH_server.json", "server", entry);
+        std::printf("\nwrote %s entry server\n", path.c_str());
+    }
     return 0;
 }

@@ -24,14 +24,9 @@
 #include "janus/util/rng.hpp"
 
 using namespace janus;
+using bench::ms_since;
 
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
     return a.size() == b.size() &&
@@ -208,18 +203,20 @@ int main() {
                 incr_ms, sizing_speedup, incr.timing_evals);
 
     {
-        char payload[512];
-        std::snprintf(payload, sizeof payload,
-                      "{\"instances\": 60000, \"full_evals\": %zu, "
-                      "\"incr_evals_avg\": %zu, \"evals_ratio\": %.1f, "
-                      "\"analyze_ms_1w\": %.2f, \"analyze_ms_4w\": %.2f, "
-                      "\"sizing_legacy_ms\": %.1f, \"sizing_incr_ms\": %.1f, "
-                      "\"sizing_speedup\": %.2f, \"qor_identical\": %s}",
-                      full_60k, evals_60k, ratio_60k, serial_ms, four_ms,
-                      legacy_ms, incr_ms, sizing_speedup,
-                      qor_identical ? "true" : "false");
-        bench::write_json_entry("BENCH_timing.json", "sta_incremental", payload);
-        std::printf("\nwrote BENCH_timing.json entry sta_incremental\n");
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("instances", 60000);
+        entry.set("full_evals", full_60k);
+        entry.set("incr_evals_avg", evals_60k);
+        entry.set("evals_ratio", ratio_60k);
+        entry.set("analyze_ms_1w", serial_ms);
+        entry.set("analyze_ms_4w", four_ms);
+        entry.set("sizing_legacy_ms", legacy_ms);
+        entry.set("sizing_incr_ms", incr_ms);
+        entry.set("sizing_speedup", sizing_speedup);
+        entry.set("qor_identical", qor_identical);
+        const std::string path = bench::write_json_entry(
+            "BENCH_timing.json", "sta_incremental", entry);
+        std::printf("\nwrote %s entry sta_incremental\n", path.c_str());
     }
 
     std::printf("\npaper claim: 1M-instance/day closure loops (E5) need timing\n"

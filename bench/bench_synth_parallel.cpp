@@ -22,6 +22,7 @@
 #include "janus/logic/sop_cache.hpp"
 
 using namespace janus;
+using bench::ms_since;
 
 namespace {
 
@@ -35,12 +36,6 @@ std::string serialize(const Aig& aig) {
     }
     for (const auto& [name, lit] : aig.outputs()) os << name << '=' << lit << ';';
     return os.str();
-}
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
 }
 
 }  // namespace
@@ -139,27 +134,23 @@ int main() {
     (void)sizes;
 
     {
-        char payload[640];
-        std::snprintf(
-            payload, sizeof payload,
-            "{\"ands\": %zu, \"refactor_ms_1w\": %.0f, \"refactor_ms_4w\": "
-            "%.0f, \"speedup_4w\": %.2f, \"cuts_evaluated\": %llu, "
-            "\"memo_hits\": %llu, \"memo_misses\": %llu, \"espresso_calls\": "
-            "%llu, \"espresso_calls_no_memo\": %llu, \"espresso_reduction\": "
-            "%.2f, \"memo_on_ms_4w\": %.0f, \"memo_off_ms_4w\": %.0f, "
-            "\"mffc_cone_visits\": %llu, \"mffc_scratch_writes\": %llu, "
-            "\"mffc_old_copy_work\": %.3e}",
-            aig.num_ands(), serial_ms, four_ms, serial_ms / four_ms,
-            static_cast<unsigned long long>(base_stats.cuts_evaluated),
-            static_cast<unsigned long long>(on_stats.memo_hits),
-            static_cast<unsigned long long>(on_stats.memo_misses),
-            static_cast<unsigned long long>(on_stats.espresso_calls),
-            static_cast<unsigned long long>(off_stats.espresso_calls),
-            reduction, memo_on_ms, memo_off_ms,
-            static_cast<unsigned long long>(mffc.cone_visits),
-            static_cast<unsigned long long>(mffc.scratch_writes),
-            old_copy_work);
-        bench::write_json_entry("BENCH_synth.json", "synth_parallel", payload);
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("ands", aig.num_ands());
+        entry.set("refactor_ms_1w", serial_ms);
+        entry.set("refactor_ms_4w", four_ms);
+        entry.set("speedup_4w", serial_ms / four_ms);
+        entry.set("cuts_evaluated", base_stats.cuts_evaluated);
+        entry.set("memo_hits", on_stats.memo_hits);
+        entry.set("memo_misses", on_stats.memo_misses);
+        entry.set("espresso_calls", on_stats.espresso_calls);
+        entry.set("espresso_calls_no_memo", off_stats.espresso_calls);
+        entry.set("espresso_reduction", reduction);
+        entry.set("memo_on_ms_4w", memo_on_ms);
+        entry.set("memo_off_ms_4w", memo_off_ms);
+        entry.set("mffc_cone_visits", mffc.cone_visits);
+        entry.set("mffc_scratch_writes", mffc.scratch_writes);
+        entry.set("mffc_old_copy_work", old_copy_work);
+        bench::write_json_entry("BENCH_synth.json", "synth_parallel", entry);
         std::printf("\nwrote BENCH_synth.json entry synth_parallel\n");
     }
 

@@ -53,7 +53,7 @@ int main() {
                     at_place.hpwl_um, at_place.legal ? "legal" : "ILLEGAL");
         engine.run(ctx);  // resume through route/cts/sta/power
         std::printf("stage trace: %s\n\n",
-                    stage_trace_json(ctx.trace).c_str());
+                    stage_trace_json(ctx.trace).dump().c_str());
     }
 
     // Self-learning: let the tuner pick flow parameters over repeated runs

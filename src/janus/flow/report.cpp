@@ -1,38 +1,10 @@
 #include "janus/flow/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
 namespace janus {
-namespace {
-
-/// Minimal JSON string escaping (stage/design names are plain identifiers,
-/// but a custom injected stage may carry anything).
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 const StageNote* StageTraceEntry::find_note(std::string_view key) const {
     for (const StageNote& n : notes) {
@@ -141,52 +113,36 @@ std::string format_flow_table(const std::vector<FlowResult>& runs) {
     return os.str();
 }
 
-std::string stage_trace_json(const StageTrace& trace) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(3);
-    os << "{\"design\":\"" << json_escape(trace.design) << "\","
-       << "\"total_ms\":" << trace.total_ms << ","
-       << "\"peak_instances\":" << trace.peak_instances << ","
-       << "\"stages\":[";
-    for (std::size_t i = 0; i < trace.entries.size(); ++i) {
-        const StageTraceEntry& e = trace.entries[i];
-        if (i) os << ",";
-        os << "{\"stage\":\"" << json_escape(e.stage) << "\","
-           << "\"wall_ms\":" << e.wall_ms << ","
-           << "\"instances\":" << e.instances << ","
-           << "\"cost_before\":" << e.cost_before << ","
-           << "\"cost_after\":" << e.cost_after << ",";
+server::JsonValue stage_trace_json(const StageTrace& trace) {
+    using server::JsonValue;
+    JsonValue stages = JsonValue::array();
+    for (const StageTraceEntry& e : trace.entries) {
+        JsonValue s = JsonValue::object();
+        s.set("stage", e.stage);
+        s.set("wall_ms", e.wall_ms);
+        s.set("instances", e.instances);
+        s.set("cost_before", e.cost_before);
+        s.set("cost_after", e.cost_after);
         if (!e.notes.empty()) {
-            os << "\"detail\":{";
-            for (std::size_t n = 0; n < e.notes.size(); ++n) {
-                const StageNote& note = e.notes[n];
-                if (n) os << ",";
-                os << "\"" << json_escape(note.key) << "\":";
-                switch (note.kind) {
-                    case StageNote::Kind::Int: os << note.int_value; break;
-                    case StageNote::Kind::Real: os << note.real_value; break;
-                    case StageNote::Kind::Text:
-                        os << "\"" << json_escape(note.text_value) << "\"";
-                        break;
-                }
+            JsonValue detail = JsonValue::object();
+            for (const StageNote& n : e.notes) {
+                detail.set(n.key, n.kind == StageNote::Kind::Int
+                                      ? JsonValue(n.int_value)
+                                  : n.kind == StageNote::Kind::Real
+                                      ? JsonValue(n.real_value)
+                                      : JsonValue(n.text_value));
             }
-            os << "},";
+            s.set("detail", std::move(detail));
         }
-        os << "\"skipped\":" << (e.skipped ? "true" : "false") << "}";
+        s.set("skipped", e.skipped);
+        stages.push(std::move(s));
     }
-    os << "]}";
-    return os.str();
-}
-
-std::string stage_trace_json(const std::vector<StageTrace>& traces) {
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        if (i) os << ",";
-        os << stage_trace_json(traces[i]);
-    }
-    os << "]";
-    return os.str();
+    JsonValue out = JsonValue::object();
+    out.set("design", trace.design);
+    out.set("total_ms", trace.total_ms);
+    out.set("peak_instances", trace.peak_instances);
+    out.set("stages", std::move(stages));
+    return out;
 }
 
 }  // namespace janus

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "janus/flow/flow.hpp"
+#include "janus/server/protocol.hpp"
 
 namespace janus {
 
@@ -99,10 +100,11 @@ std::string format_flow_result(const FlowResult& r);
 /// Multi-run comparison table (fixed-width columns).
 std::string format_flow_table(const std::vector<FlowResult>& runs);
 
-/// JSON object for one trace / JSON array for a batch of traces. Stable
-/// key order so bench output diffs cleanly across runs. Stage notes land
-/// as a structured `"detail": {"batches": 12, ...}` object.
-std::string stage_trace_json(const StageTrace& trace);
-std::string stage_trace_json(const std::vector<StageTrace>& traces);
+/// JSON object for one trace, built on the server protocol's JsonValue so
+/// it serializes with the same escaper and number renderer as every other
+/// record. Stable key order so bench output diffs cleanly across runs.
+/// Stage notes land as a structured `"detail": {"batches": 12, ...}`
+/// object with their kinds kept (Int, Real, Text).
+server::JsonValue stage_trace_json(const StageTrace& trace);
 
 }  // namespace janus

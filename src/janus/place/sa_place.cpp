@@ -90,15 +90,11 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
     }
     if (groups.empty()) return res;
 
-    // The ownership grid is a pure function of the workload (cell count or
-    // the explicit knob), never of the worker count — auto-sizing off
-    // `workers` would silently break the byte-identity contract.
-    const int tiles =
-        opts.region_grid > 0
-            ? std::min(opts.region_grid, kMaxTilesPerAxis)
-            : RegionGrid::auto_tiles_per_axis(nl.num_instances(),
-                                              kCellsPerRegion,
-                                              kMaxTilesPerAxis);
+    // The ownership grid is a pure function of the workload (cell count),
+    // never of the worker count — auto-sizing off `workers` would silently
+    // break the byte-identity contract.
+    const int tiles = RegionGrid::auto_tiles_per_axis(
+        nl.num_instances(), kCellsPerRegion, kMaxTilesPerAxis);
     const RegionGrid grid(area.die.lo.x, area.die.lo.y,
                           area.die.hi.x - area.die.lo.x,
                           area.die.hi.y - area.die.lo.y, tiles, tiles);

@@ -29,11 +29,6 @@ struct SaPlaceOptions {
     /// FlowParams::workers). A pure performance knob: results are
     /// byte-identical for any value; 1 = serial.
     int workers = 1;
-    /// Ownership-grid tiles per axis; 0 sizes the grid from the cell count
-    /// (RegionGrid::auto_tiles_per_axis). Part of the schedule — it decides
-    /// which moves share a round-frozen snapshot — unlike `workers`, which
-    /// never affects results.
-    int region_grid = 0;
 };
 
 struct SaPlaceResult {

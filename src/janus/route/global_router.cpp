@@ -342,20 +342,15 @@ GlobalRouteResult route_design(const Netlist& nl, const PlacementArea& area,
             // a pure prefix, so the schedule stays worker-independent);
             // the rest defer to later rounds behind this round's aborts.
             std::vector<std::size_t> deferred;
-            if (opts.panel_grid == 0 &&
-                pending.size() > kPanelFeedbackMinNets) {
+            if (pending.size() > kPanelFeedbackMinNets) {
                 deferred.assign(pending.begin() + kPanelFeedbackMinNets,
                                 pending.end());
                 pending.resize(kPanelFeedbackMinNets);
             }
 
-            int tiles =
-                opts.panel_grid > 0
-                    ? std::min(opts.panel_grid, kMaxPanelsPerAxis)
-                    : RegionGrid::auto_tiles_per_axis(
-                          pending.size(), kNetsPerPanel, kMaxPanelsPerAxis);
-            if (opts.panel_grid == 0 &&
-                pending.size() >= kPanelFeedbackMinNets) {
+            int tiles = RegionGrid::auto_tiles_per_axis(
+                pending.size(), kNetsPerPanel, kMaxPanelsPerAxis);
+            if (pending.size() >= kPanelFeedbackMinNets) {
                 tiles = std::max(1, tiles >> conflict_shrink);
             }
             const RegionGrid panel_grid(0, 0, opts.gcells_x, opts.gcells_y,

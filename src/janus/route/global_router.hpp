@@ -30,11 +30,6 @@ struct GlobalRouteOptions {
     /// serially in panel/net order — see docs/ROUTING.md); 1 keeps the loop
     /// fully serial.
     int route_workers = 1;
-    /// Ownership panels per axis for the speculative reroute rounds; 0
-    /// sizes the panel grid per round from the pending-net count. Part of
-    /// the negotiation schedule (it decides which reroutes chain on one
-    /// snapshot), unlike `route_workers`, which never affects results.
-    int panel_grid = 0;
 };
 
 struct RoutedNet {

@@ -267,13 +267,11 @@ void save_baseline(const std::string& path,
     std::ofstream os(path);
     if (!os) throw std::runtime_error("save_baseline: cannot write " + path);
     // One scenario per line so baseline refreshes diff cleanly in review.
-    os << "{\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        server::JsonValue key(results[i].cell.key());
-        os << key.dump() << ": " << result_json(results[i]).dump()
-           << (i + 1 < results.size() ? ",\n" : "\n");
+    server::JsonValue baseline = server::JsonValue::object();
+    for (const ScenarioResult& r : results) {
+        baseline.set(r.cell.key(), result_json(r));
     }
-    os << "}\n";
+    os << baseline.dump_lines();
 }
 
 }  // namespace janus::scenario

@@ -258,9 +258,7 @@ JsonValue FlowServer::cmd_query_trace(const JsonValue& req) {
     std::lock_guard<std::mutex> lock(s->mutex());
     JsonValue resp = make_ok_response();
     resp.set("session", s->name());
-    // stage_trace_json emits the same deterministic JSON dialect the
-    // protocol speaks, so the trace embeds as a structured value.
-    resp.set("trace", parse_json(stage_trace_json(s->trace())));
+    resp.set("trace", stage_trace_json(s->trace()));
     return resp;
 }
 

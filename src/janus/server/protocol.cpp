@@ -304,6 +304,12 @@ double JsonValue::get_real(std::string_view key, double fallback) const {
 JsonValue& JsonValue::set(std::string key, JsonValue value) {
     if (kind_ == Kind::Null) kind_ = Kind::Object;
     if (kind_ != Kind::Object) type_error("object", kind_);
+    for (auto& [k, v] : members_) {
+        if (k == key) {
+            v = std::move(value);
+            return *this;
+        }
+    }
     members_.emplace_back(std::move(key), std::move(value));
     return *this;
 }
@@ -352,6 +358,19 @@ void JsonValue::dump_to(std::string& out) const {
 std::string JsonValue::dump() const {
     std::string out;
     dump_to(out);
+    return out;
+}
+
+std::string JsonValue::dump_lines() const {
+    std::string out = "{\n";
+    const auto& ms = members();
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+        escape_to(ms[i].first, out);
+        out += ": ";
+        ms[i].second.dump_to(out);
+        out += i + 1 < ms.size() ? ",\n" : "\n";
+    }
+    out += "}\n";
     return out;
 }
 

@@ -82,14 +82,21 @@ class JsonValue {
     std::int64_t get_int(std::string_view key, std::int64_t fallback = 0) const;
     double get_real(std::string_view key, double fallback = 0.0) const;
 
-    /// Appends/sets (object members append; duplicate keys keep both, the
-    /// first wins on lookup — the parser rejects duplicates anyway).
+    /// Sets an object member: a new key appends, an existing key is
+    /// replaced in place (keeping its position), so dump() never emits a
+    /// duplicate member the parser would reject. push appends to an array.
     JsonValue& set(std::string key, JsonValue value);
     JsonValue& push(JsonValue value);
 
     /// Compact deterministic serialization (no whitespace, member order =
     /// insertion order, shortest-round-trip reals).
     std::string dump() const;
+
+    /// Object rendered one member per line (`"key": <compact value>`),
+    /// braces on their own lines, trailing newline: the committed-file
+    /// format (scenario baselines, BENCH_*.json ledgers) that diffs cleanly
+    /// one entry at a time. Throws ProtocolError unless this is an object.
+    std::string dump_lines() const;
 
   private:
     void dump_to(std::string& out) const;

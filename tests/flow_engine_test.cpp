@@ -271,17 +271,38 @@ TEST(StageTrace, RecordsEveryStageAndSerializesToJson) {
     EXPECT_GT(ctx.trace.total_ms, 0.0);
     EXPECT_GT(ctx.trace.peak_instances, 0u);
 
-    const std::string json = stage_trace_json(ctx.trace);
-    for (const auto& stage : engine.stages()) {
-        EXPECT_NE(json.find("\"" + stage.name + "\""), std::string::npos)
-            << stage.name;
+    // A text note alongside the engine's numeric ones, to check kinds.
+    ctx.trace.entries.back().notes.push_back(
+        {"label", StageNote::Kind::Text, 0, 0, "last \"stage\""});
+
+    const std::string text = stage_trace_json(ctx.trace).dump();
+    const server::JsonValue json = server::parse_json(text);
+    EXPECT_EQ(json.dump(), text);
+    EXPECT_EQ(json.get_int("peak_instances"),
+              static_cast<std::int64_t>(ctx.trace.peak_instances));
+    const auto& stages = json.at("stages").items();
+    ASSERT_EQ(stages.size(), ctx.trace.entries.size());
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        const StageTraceEntry& e = ctx.trace.entries[i];
+        EXPECT_EQ(stages[i].get_string("stage"), engine.stages()[i].name);
+        EXPECT_EQ(stages[i].get_int("instances"),
+                  static_cast<std::int64_t>(e.instances));
+        EXPECT_EQ(stages[i].at("skipped").as_bool(), e.skipped);
+        ASSERT_EQ(stages[i].find("detail") != nullptr, !e.notes.empty())
+            << e.stage;
+        // The typed accessors throw on a kind mismatch, so these also pin
+        // that Int stays Int and Text stays a string.
+        for (const StageNote& n : e.notes) {
+            const server::JsonValue& v = stages[i].at("detail").at(n.key);
+            if (n.kind == StageNote::Kind::Int) {
+                EXPECT_EQ(v.as_int(), n.int_value) << n.key;
+            } else if (n.kind == StageNote::Kind::Real) {
+                EXPECT_EQ(v.as_real(), n.real_value) << n.key;
+            } else {
+                EXPECT_EQ(v.as_string(), n.text_value) << n.key;
+            }
+        }
     }
-    EXPECT_NE(json.find("\"peak_instances\""), std::string::npos);
-    EXPECT_NE(json.find("\"cost_after\""), std::string::npos);
-    // Array form wraps the object form.
-    const std::string arr = stage_trace_json(std::vector<StageTrace>{ctx.trace});
-    EXPECT_EQ(arr.front(), '[');
-    EXPECT_NE(arr.find(json), std::string::npos);
 }
 
 // ----------------------------------------------------------- ThreadPool

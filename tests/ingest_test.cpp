@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -588,6 +589,36 @@ TEST(Scenario, DiffFlagsDriftAndMissingBaselines) {
     const auto missing = scenario::diff_against_baseline({unknown}, base, tol);
     ASSERT_EQ(missing.size(), 1u);
     EXPECT_NE(missing[0].find("no pinned baseline"), std::string::npos);
+}
+
+std::string read_text(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+// save_baseline renders through JsonValue::dump_lines, so the committed
+// file must survive load -> render byte for byte.
+TEST(Scenario, CommittedBaselinesAreARendererFixpoint) {
+    const std::string path = corpus_dir() + "/scenario_baselines.json";
+    EXPECT_EQ(scenario::load_baseline(path).dump_lines(), read_text(path));
+}
+
+TEST(Scenario, BenchLedgersAtRepoRootParse) {
+    namespace fs = std::filesystem;
+    std::size_t ledgers = 0;
+    for (const auto& f : fs::directory_iterator(scenario::find_repo_root())) {
+        const std::string name = f.path().filename().string();
+        if (name.rfind("BENCH_", 0) != 0 || f.path().extension() != ".json") {
+            continue;
+        }
+        ++ledgers;
+        EXPECT_TRUE(server::parse_json(read_text(f.path().string())).is_object())
+            << name;
+    }
+    EXPECT_GE(ledgers, 4u);  // the committed ledgers at least
 }
 
 }  // namespace

@@ -90,6 +90,8 @@ TEST(RouteParallel, ByteIdenticalAcrossWorkerCountsOnTwoSeeds) {
         ASSERT_GT(base.iterations, 0) << "seed " << seed;
         ASSERT_GT(base.reroute_rounds, 0u) << "seed " << seed;
         ASSERT_GT(base.committed_nets, 0u) << "seed " << seed;
+        // Several panels, so identity covers cross-panel commit order.
+        ASSERT_GT(base.panels, 1u) << "seed " << seed;
         for (const int workers : {2, 4, 8}) {
             const auto par = route_design(nl, area, congested_opts(workers));
             expect_identical(base, par,
@@ -140,23 +142,6 @@ TEST(RouteParallel, SpeculationAccountingAndEfficiencyFloor) {
     EXPECT_GE(res.nets_per_round(), 4.0);
 }
 
-TEST(RouteParallel, ExplicitPanelGridIsWorkerInvariant) {
-    // panel_grid is part of the negotiation schedule (different panelings
-    // legitimately negotiate differently), but any fixed paneling must stay
-    // byte-identical for every worker count.
-    PlacementArea area;
-    const Netlist nl = placed_design(22, 900, &area);
-    GlobalRouteOptions o1 = congested_opts(1);
-    o1.panel_grid = 2;
-    GlobalRouteOptions o8 = congested_opts(8);
-    o8.panel_grid = 2;
-    const auto base = route_design(nl, area, o1);
-    ASSERT_GT(base.reroute_rounds, 0u);
-    EXPECT_EQ(base.panels, 4u);
-    expect_identical(base, route_design(nl, area, o8),
-                     "panel_grid 2 workers 8");
-}
-
 TEST(RouteParallel, FlowParamsValidateRouteWorkers) {
     FlowParams p;
     p.workers = 8;
@@ -186,7 +171,7 @@ TEST(RouteParallel, FlowRouteStageTracesSpeculationAndWorkers) {
     EXPECT_NE(route_entry->find_note("commit_rate"), nullptr);
     EXPECT_NE(route_entry->find_note("nets_per_round"), nullptr);
     EXPECT_EQ(route_entry->note_int("workers"), 2);
-    const std::string json = stage_trace_json(ctx.trace);
+    const std::string json = stage_trace_json(ctx.trace).dump();
     EXPECT_NE(json.find("\"detail\":{"), std::string::npos);
     EXPECT_NE(json.find("\"workers\":2"), std::string::npos);
 }

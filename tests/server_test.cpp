@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "janus/flow/flow_engine.hpp"
+#include "janus/flow/report.hpp"
 #include "janus/netlist/generator.hpp"
 #include "janus/netlist/io.hpp"
 #include "janus/server/flow_server.hpp"
@@ -76,6 +77,29 @@ TEST(Protocol, RejectsMalformedInput) {
     std::string deep(200, '[');
     deep += std::string(200, ']');
     EXPECT_THROW(parse_json(deep), ProtocolError);
+}
+
+TEST(Protocol, SetReplacesExistingMemberInPlace) {
+    JsonValue o = JsonValue::object();
+    o.set("a", 1);
+    o.set("b", "x");
+    o.set("a", 2);
+    // dump() must stay parseable (the parser rejects duplicate members),
+    // and the replaced member keeps its original position.
+    EXPECT_EQ(o.dump(), "{\"a\":2,\"b\":\"x\"}");
+    const JsonValue back = parse_json(o.dump());
+    EXPECT_EQ(back.get_int("a"), 2);
+    EXPECT_EQ(back.dump(), o.dump());
+}
+
+TEST(Protocol, DumpLinesRendersOneMemberPerLine) {
+    JsonValue o = JsonValue::object();
+    o.set("k1", JsonValue::object().set("n", 1));
+    o.set("k2", 2.5);
+    EXPECT_EQ(o.dump_lines(), "{\n\"k1\": {\"n\":1},\n\"k2\": 2.5\n}\n");
+    EXPECT_EQ(parse_json(o.dump_lines()).dump(), o.dump());
+    EXPECT_EQ(JsonValue::object().dump_lines(), "{\n}\n");
+    EXPECT_THROW(JsonValue::array().dump_lines(), ProtocolError);
 }
 
 TEST(Protocol, TypedAccessorsEnforceKinds) {
@@ -329,6 +353,9 @@ TEST(FlowServerTest, SubmitRunTraceLifecycle) {
         }
     }
     EXPECT_TRUE(saw_place);
+    // The reply embeds the session's trace record itself, not a re-parse.
+    EXPECT_EQ(trace.dump(),
+              stage_trace_json(server.sessions().find("mesh")->trace()).dump());
 
     const JsonValue timed =
         request_ok(server, "{\"cmd\":\"timing\",\"session\":\"mesh\"}");
