@@ -1,12 +1,15 @@
 /// Microbenchmarks of the JanusEDA hot kernels (google-benchmark):
 /// AIG construction + rewriting, cut enumeration, Espresso, maze vs
 /// line-search routing, bit-parallel fault simulation, BDD/BBDD builds,
-/// SOR grid solve. These are the per-operation costs behind the
-/// experiment-level numbers in E1/E3/E5/E9.
+/// SOR grid solve, and the .jnl reader. These are the per-operation costs
+/// behind the experiment-level numbers in E1/E3/E5/E9 and the load time
+/// every text-fed flow pays first.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "janus/dft/fault_sim.hpp"
 #include "janus/logic/aig.hpp"
@@ -17,6 +20,7 @@
 #include "janus/logic/espresso.hpp"
 #include "janus/logic/tech_map.hpp"
 #include "janus/netlist/generator.hpp"
+#include "janus/netlist/io.hpp"
 #include "janus/power/power_grid.hpp"
 #include "janus/route/line_search.hpp"
 #include "janus/route/maze_router.hpp"
@@ -151,6 +155,15 @@ void BM_PowerGridSolve(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PowerGridSolve);
+
+void BM_ReadNetlist(benchmark::State& state) {
+    const std::string text = netlist_to_string(generate_mesh(lib28(), 45000, 7, 4));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(netlist_from_string(text, lib28()).num_instances());
+    }
+    state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadNetlist)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

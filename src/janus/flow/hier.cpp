@@ -274,9 +274,17 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     // floorplan slots.
     auto merged = std::make_shared<Netlist>(nl.library_ptr(), nl.name());
     std::unordered_map<std::string, NetId> boundary;
+    // The join is by printable name, so a name two nets share would
+    // silently merge them.
+    const auto join = [&](const std::string& name, NetId net) {
+        if (!boundary.emplace(name, net).second) {
+            throw std::runtime_error("hier: net name \"" + name +
+                                     "\" is not unique while stitching " + nl.name());
+        }
+    };
     for (const NetId pi : nl.primary_inputs()) {
-        boundary.emplace(std::string(nl.net_name(pi)),
-                         merged->add_primary_input(nl.net_name(pi)));
+        const std::string name = nl.net_name(pi);
+        join(name, merged->add_primary_input(name));
     }
 
     struct PendingPin {
@@ -344,7 +352,7 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
         }
         for (const auto& [po_name, po_net] : bn.primary_outputs()) {
             if (bmap[po_net] != kNoNet) {
-                boundary.emplace(po_name, bmap[po_net]);
+                join(po_name, bmap[po_net]);
             } else {
                 po_aliases.emplace_back(po_name, std::string(bn.net_name(po_net)));
             }
@@ -357,7 +365,7 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
         for (const auto& [po, src] : po_aliases) {
             const auto it = boundary.find(src);
             if (it != boundary.end()) {
-                boundary.emplace(po, it->second);
+                join(po, it->second);
             } else {
                 unresolved.push_back({po, src});
             }

@@ -105,13 +105,15 @@ std::string function_name(CellFunction fn) {
 }
 
 CellLibrary::CellLibrary(std::string name, std::vector<CellType> cells)
-    : name_(std::move(name)), cells_(std::move(cells)) {}
+    : name_(std::move(name)), cells_(std::move(cells)) {
+    // emplace keeps the first cell of a repeated name.
+    for (std::size_t i = 0; i < cells_.size(); ++i) by_name_.emplace(cells_[i].name, i);
+}
 
-std::optional<std::size_t> CellLibrary::find(const std::string& name) const {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        if (cells_[i].name == name) return i;
-    }
-    return std::nullopt;
+std::optional<std::size_t> CellLibrary::find(std::string_view name) const {
+    const auto it = by_name_.find(name);
+    if (it == by_name_.end()) return std::nullopt;
+    return it->second;
 }
 
 std::optional<std::size_t> CellLibrary::find_function(CellFunction fn) const {

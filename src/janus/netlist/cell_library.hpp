@@ -5,8 +5,11 @@
 /// TechnologyNode so the same flow runs at every node.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "janus/netlist/technology.hpp"
@@ -59,8 +62,9 @@ class CellLibrary {
     const CellType& cell(std::size_t id) const { return cells_.at(id); }
     std::size_t size() const { return cells_.size(); }
 
-    /// Index of a cell by exact name; nullopt when absent.
-    std::optional<std::size_t> find(const std::string& name) const;
+    /// Index of a cell by exact name; nullopt when absent. When two cells
+    /// share a name the first one wins.
+    std::optional<std::size_t> find(std::string_view name) const;
     /// Index of the smallest-drive cell implementing `fn`; nullopt when the
     /// library has no such cell.
     std::optional<std::size_t> find_function(CellFunction fn) const;
@@ -68,8 +72,18 @@ class CellLibrary {
     std::vector<std::size_t> variants(CellFunction fn) const;
 
   private:
+    /// Hashes std::string keys and std::string_view probes alike, so
+    /// find() looks a view up without building a string.
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
     std::string name_;
     std::vector<CellType> cells_;
+    std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>> by_name_;
 };
 
 /// Builds the default JanusEDA library for a node: the full function set at

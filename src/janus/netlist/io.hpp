@@ -11,7 +11,8 @@
 ///
 /// Every `input` line carries both the port name and its net token — the
 /// historical one-token `input <pi_name>` form was never emitted by
-/// write_netlist and is rejected with a clear error. Nets are referenced
+/// write_netlist and is rejected with a clear error — and no two `input`
+/// lines share a port name. Nets are referenced
 /// as n<id> by the writer; the reader accepts any identifier. Nets are
 /// created only by their drivers (`input` lines and `inst` outputs), so a
 /// parsed netlist has exactly one net per PI plus one per instance — no
@@ -34,9 +35,10 @@ std::string netlist_to_string(const Netlist& nl);
 
 /// Parses a .jnl stream into a netlist over `lib`. Every cell referenced
 /// must exist in the library. Throws std::runtime_error on malformed input.
+/// Reads the stream whole, then parses it like netlist_from_string.
 Netlist read_netlist(std::istream& is, std::shared_ptr<const CellLibrary> lib);
 
-/// Convenience: parse from a string.
+/// Parses .jnl text in place, in one pass (docs/IO.md).
 Netlist netlist_from_string(const std::string& text,
                             std::shared_ptr<const CellLibrary> lib);
 

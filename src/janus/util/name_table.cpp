@@ -5,20 +5,6 @@
 
 namespace janus {
 
-namespace {
-
-/// FNV-1a: cheap, good distribution for identifier-like strings.
-std::uint64_t hash_name(std::string_view s) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-}  // namespace
-
 NameTable::NameTable() { slots_.assign(64, kNoName); }
 
 NameTable::NameTable(const NameTable& other) { copy_from(other); }

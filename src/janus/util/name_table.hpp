@@ -26,6 +26,17 @@ namespace janus {
 using NameId = std::uint32_t;
 inline constexpr NameId kNoName = 0xFFFFFFFFu;
 
+/// FNV-1a: cheap, good distribution for identifier-like strings. The hash
+/// of NameTable's index, shared by other name indexes (the .jnl reader's).
+inline std::uint64_t hash_name(std::string_view s) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 class NameTable {
   public:
     NameTable();

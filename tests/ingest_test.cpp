@@ -12,6 +12,10 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "janus/logic/aig_netlist.hpp"
 #include "janus/logic/aiger.hpp"
@@ -348,6 +352,55 @@ TEST(NetlistIo, NoPlaceholderNetAfterParse) {
     EXPECT_TRUE(back.validate().empty());
 }
 
+/// `text` with its `inst` lines in reverse order, so every fanin driven
+/// by an earlier instance becomes a forward reference.
+std::string reverse_inst_lines(const std::string& text) {
+    std::istringstream in(text);
+    std::string head, tail, line;
+    std::vector<std::string> insts;
+    while (std::getline(in, line)) {
+        if (line.rfind("inst ", 0) == 0) {
+            insts.push_back(line);
+        } else {
+            (insts.empty() ? head : tail) += line + "\n";
+        }
+    }
+    for (auto it = insts.rbegin(); it != insts.rend(); ++it) head += *it + "\n";
+    return head + tail;
+}
+
+/// Every instance of `got` has a same-named instance in `want` with the
+/// same cell and the same named fanin nets; ports match by name too.
+void expect_same_named_connectivity(const Netlist& want, const Netlist& got) {
+    ASSERT_EQ(got.num_instances(), want.num_instances()) << want.name();
+    ASSERT_EQ(got.num_nets(), want.num_nets()) << want.name();
+    std::unordered_map<std::string_view, InstId> by_name;
+    for (InstId i = 0; i < want.num_instances(); ++i) by_name[want.instance_name(i)] = i;
+    for (InstId i = 0; i < got.num_instances(); ++i) {
+        const auto it = by_name.find(got.instance_name(i));
+        ASSERT_NE(it, by_name.end()) << got.instance_name(i);
+        const Instance& a = want.instance(it->second);
+        const Instance& b = got.instance(i);
+        EXPECT_EQ(b.type, a.type) << got.instance_name(i);
+        for (int p = 0; p < function_arity(got.type_of(i).function); ++p) {
+            const auto pin = static_cast<std::size_t>(p);
+            EXPECT_EQ(got.net_name(b.fanin[pin]), want.net_name(a.fanin[pin]))
+                << got.instance_name(i) << " pin " << p;
+        }
+    }
+    ASSERT_EQ(got.primary_inputs().size(), want.primary_inputs().size());
+    for (std::size_t k = 0; k < got.primary_inputs().size(); ++k) {
+        EXPECT_EQ(got.net_name(got.primary_inputs()[k]),
+                  want.net_name(want.primary_inputs()[k]));
+    }
+    ASSERT_EQ(got.primary_outputs().size(), want.primary_outputs().size());
+    for (std::size_t k = 0; k < got.primary_outputs().size(); ++k) {
+        EXPECT_EQ(got.primary_outputs()[k].first, want.primary_outputs()[k].first);
+        EXPECT_EQ(got.net_name(got.primary_outputs()[k].second),
+                  want.net_name(want.primary_outputs()[k].second));
+    }
+}
+
 TEST(NetlistIo, WriteReadByteIdenticalAcrossDesignsAndSeeds) {
     for (const std::uint64_t seed : {3ull, 17ull}) {
         GeneratorConfig cfg;
@@ -357,14 +410,117 @@ TEST(NetlistIo, WriteReadByteIdenticalAcrossDesignsAndSeeds) {
         cfg.seed = seed;
         const std::vector<Netlist> designs = {
             generate_random(lib28(), cfg), generate_adder(lib28(), 12),
-            generate_parity(lib28(), 31), generate_counter(lib28(), 9)};
+            generate_parity(lib28(), 31), generate_counter(lib28(), 9),
+            generate_mesh(lib28(), 2000, seed, 2)};
         for (const Netlist& nl : designs) {
             const std::string text = netlist_to_string(nl);
             const Netlist back = netlist_from_string(text, lib28());
             EXPECT_EQ(back.num_nets(), nl.num_nets()) << nl.name();
             EXPECT_EQ(back.num_instances(), nl.num_instances()) << nl.name();
             EXPECT_EQ(netlist_to_string(back), text) << nl.name();
+            // Reversed, the ids change but every pin keeps its driver.
+            expect_same_named_connectivity(
+                nl, netlist_from_string(reverse_inst_lines(text), lib28()));
         }
+    }
+}
+
+/// Message of the std::runtime_error `parse` throws, or "" when it parses.
+template <typename Parse>
+std::string parse_error(Parse&& parse) {
+    try {
+        parse();
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(NetlistIo, EveryErrorPathKeepsItsMessageAndLine) {
+    const struct {
+        const char* text;
+        const char* message;
+    } cases[] = {
+        {"", "read_netlist: missing 'design' line"},
+        {"# no design\ninput a na\n", "read_netlist: missing 'design' line"},
+        {"# header\ndesign   \n", "read_netlist: line 2: missing design name"},
+        {"design t\nwire w na\n", "read_netlist: line 2: unknown keyword: wire"},
+        {"design t\ninput a\n",
+         "read_netlist: line 2: input needs <name> <net> — the one-token 'input a' "
+         "form is not part of the grammar (io.hpp)"},
+        {"design t\n\ninput # bare\n", "read_netlist: line 3: input needs <name> <net>"},
+        {"design t\ninput a na\ninput b na\n", "read_netlist: line 3: net redefined: na"},
+        {"design t\ninput a na\ninst g INV_X1 na na\n",
+         "read_netlist: line 3: net redefined: na"},
+        {"design t\ninput a na\ninput a nb\n",
+         "read_netlist: line 3: primary input redefined: a"},
+        {"design t\ninput a na\ninst g BOGUS_X9 ny na\n",
+         "read_netlist: line 3: unknown cell: BOGUS_X9"},
+        {"design t\ninput a na\ninst g NAND2_X1 ny na\n",
+         "read_netlist: line 3: cell NAND2_X1 expects 2 inputs"},
+        {"design t\ninput a na\ninst g INV_X1 ny na na\n",
+         "read_netlist: line 3: cell INV_X1 expects 1 inputs"},
+        {"design t\ninst g INV_X1\n", "read_netlist: line 2: inst needs <name> <cell> <out>"},
+        {"design t\ninput a na\noutput y\n", "read_netlist: line 3: output needs <name> <net>"},
+        {"design t\ninput a na\noutput y nz\n",
+         "read_netlist: line 3: output references undefined net: nz"},
+        // Undefined fanins surface after the last line, naming the first
+        // instance (in file order) that reads one.
+        {"design t\ninput a na\ninst g1 INV_X1 n1 nq\ninst g2 NAND2_X1 n2 n1 nz\n"
+         "inst g3 INV_X1 n3 ny\nwire\n",
+         "read_netlist: line 6: unknown keyword: wire"},
+        {"design t\ninput a na\ninst g1 INV_X1 n1 na\ninst g2 NAND2_X1 n2 n1 nz\n"
+         "inst g3 INV_X1 n3 ny\ninst g4 INV_X1 nz n3\n",
+         "read_netlist: instance g3 references undefined net ny"},
+        {"design t\r\ninput a na\r\ninst g INV_X1 ny nb\r\n",
+         "read_netlist: instance g references undefined net nb"},
+    };
+    for (const auto& c : cases) {
+        const std::string text = c.text;
+        EXPECT_EQ(parse_error([&] { netlist_from_string(text, lib28()); }), c.message)
+            << text;
+        std::istringstream in(text);
+        EXPECT_EQ(parse_error([&] { read_netlist(in, lib28()); }), c.message) << text;
+    }
+}
+
+TEST(NetlistIo, AcceptedSpellingsParseLikeTheCleanText) {
+    // q reads nd before g defines it: a forward reference (flop feedback).
+    const std::string clean =
+        "design fwd\n"
+        "input a na\n"
+        "input b nb\n"
+        "inst q DFF_X1 nq nd\n"
+        "inst g NAND2_X1 nd na nq\n"
+        "inst h XOR2_X1 ny nq nb\n"
+        "output y ny\n"
+        "output d nd\n";
+    const std::string want = netlist_to_string(netlist_from_string(clean, lib28()));
+    const auto replace_all = [&](std::string from, std::string to) {
+        std::string s = clean;
+        for (std::size_t at = s.find(from); at != std::string::npos;
+             at = s.find(from, at + to.size())) {
+            s.replace(at, from.size(), to);
+        }
+        return s;
+    };
+    std::string no_final_newline = clean;
+    no_final_newline.pop_back();
+    const std::string variants[] = {
+        replace_all("\n", "\r\n"),
+        replace_all(" ", "\t"),
+        replace_all(" ", " \v\f "),
+        replace_all("\n", "  # trailing comment\n"),
+        replace_all("\n", "\n\n# comment line\n   \n"),
+        replace_all(" nb\n", " nb#not-part-of-the-token\n"),
+        no_final_newline,
+        // A second design line starts over, forward references included.
+        "design discarded\ninput z nz\ninst w INV_X1 nw nlater\noutput o nz\n" + clean,
+    };
+    for (const std::string& text : variants) {
+        EXPECT_EQ(netlist_to_string(netlist_from_string(text, lib28())), want) << text;
+        std::istringstream in(text);
+        EXPECT_EQ(netlist_to_string(read_netlist(in, lib28())), want) << text;
     }
 }
 

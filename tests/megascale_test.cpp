@@ -3,7 +3,8 @@
 /// fanin scan across randomized mutations, and open-addressed strash
 /// unique-table equivalence (same hit count, same literals) against a
 /// reference std::unordered_map. Also the hierarchical flow's top-level
-/// record: legality, wall-clock runtime and pinned stitch geometry.
+/// record: legality, wall-clock runtime and pinned stitch geometry, and
+/// the stitch's refusal to join two nets that share a name.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "janus/logic/aig.hpp"
 #include "janus/netlist/cell_library.hpp"
 #include "janus/netlist/generator.hpp"
+#include "janus/netlist/io.hpp"
 #include "janus/netlist/netlist.hpp"
 #include "janus/netlist/technology.hpp"
 #include "janus/util/rng.hpp"
@@ -312,6 +315,72 @@ TEST(MegascaleHier, TopHpwlAndBlockPlacementsArePinned) {
         EXPECT_TRUE(r.blocks[b].flow.legal) << "block " << b;
         EXPECT_EQ(r.blocks[b].placement, expected[b]) << "block " << b;
     }
+}
+
+/// Message of the std::runtime_error run_hier_flow throws for `nl` split
+/// into `blocks`, or "" when the flow completes.
+std::string hier_error(const Netlist& nl, int blocks) {
+    HierParams hp;
+    hp.num_blocks = blocks;
+    hp.block_flow.stages = FlowStageMask::None;
+    try {
+        run_hier_flow(nl, *find_node("28nm"), hp);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// `nl` rebuilt through the API with primary input `pi` renamed. Valid for
+/// designs whose instances only read earlier nets (the generated adder).
+Netlist with_input_renamed(const Netlist& nl, std::size_t pi, const std::string& name) {
+    Netlist out(nl.library_ptr(), nl.name());
+    for (std::size_t k = 0; k < nl.primary_inputs().size(); ++k) {
+        out.add_primary_input(k == pi ? name : nl.net_name(nl.primary_inputs()[k]));
+    }
+    for (InstId i = 0; i < nl.num_instances(); ++i) {
+        const Instance& inst = nl.instance(i);
+        const auto arity = static_cast<std::size_t>(function_arity(nl.type_of(i).function));
+        out.add_instance(nl.instance_name(i), inst.type,
+                         std::vector<NetId>(inst.fanin.begin(), inst.fanin.begin() + arity));
+    }
+    for (const auto& [po, net] : nl.primary_outputs()) out.add_primary_output(po, net);
+    return out;
+}
+
+TEST(MegascaleHier, StitchRejectsARepeatedInputName) {
+    const Netlist adder = generate_adder(lib28(), 8);
+    for (const int blocks : {1, 2, 4}) {
+        EXPECT_EQ(hier_error(adder, blocks), "") << blocks << " blocks";
+    }
+    // Second input b0 renamed a0: two nets now print the same name.
+    const Netlist dup = with_input_renamed(adder, 8, "a0");
+    ASSERT_TRUE(dup.validate().empty());
+    ASSERT_EQ(dup.num_instances(), adder.num_instances());
+    std::string read_error;
+    try {
+        netlist_from_string(netlist_to_string(dup), lib28());
+    } catch (const std::runtime_error& e) {
+        read_error = e.what();
+    }
+    EXPECT_EQ(read_error, "read_netlist: line 10: primary input redefined: a0");
+    for (const int blocks : {1, 2, 4}) {
+        EXPECT_EQ(hier_error(dup, blocks),
+                  "hier: net name \"a0\" is not unique while stitching adder8")
+            << blocks << " blocks";
+    }
+}
+
+TEST(MegascaleHier, StitchRejectsAnInputNamedLikeADerivedNet) {
+    // sum0's output net prints as "sum0.out"; an input may legally carry
+    // that name, but the stitch could then no longer tell the two apart.
+    std::string text = netlist_to_string(generate_adder(lib28(), 8));
+    const std::string from = "input a0 ";
+    text.replace(text.find(from), from.size(), "input sum0.out ");
+    const Netlist nl = netlist_from_string(text, lib28());
+    ASSERT_TRUE(nl.validate().empty());
+    EXPECT_EQ(hier_error(nl, 1),
+              "hier: net name \"sum0.out\" is not unique while stitching adder8");
 }
 
 }  // namespace
