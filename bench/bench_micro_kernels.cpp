@@ -1,5 +1,6 @@
 /// Microbenchmarks of the JanusEDA hot kernels (google-benchmark):
-/// AIG construction + rewriting, cut enumeration, Espresso, maze vs
+/// AIG construction + rewriting, cut enumeration and cut-function
+/// evaluation, Espresso, maze vs
 /// line-search routing, bit-parallel fault simulation, BDD/BBDD builds,
 /// SOR grid solve, and the .jnl reader. These are the per-operation costs
 /// behind the experiment-level numbers in E1/E3/E5/E9 and the load time
@@ -61,7 +62,8 @@ void BM_AigRefactor(benchmark::State& state) {
         benchmark::DoNotOptimize(refactor(aig).num_ands());
     }
 }
-BENCHMARK(BM_AigRefactor)->Arg(500)->Arg(2000);
+// 10000 gates is the synth_random workload's design size.
+BENCHMARK(BM_AigRefactor)->Arg(500)->Arg(2000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_CutEnumeration(benchmark::State& state) {
     const Aig aig = Aig::from_netlist(bench_design(2000)).cleanup();
@@ -70,6 +72,31 @@ void BM_CutEnumeration(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CutEnumeration);
+
+void BM_CutConeEvaluate(benchmark::State& state) {
+    // Truth tables of every refactoring cut (K = 5) of a 2k-gate AIG; the
+    // cut set is built outside the timed loop.
+    const Aig aig = Aig::from_netlist(bench_design(2000)).cleanup();
+    CutEnumOptions opts;
+    opts.max_leaves = 5;
+    opts.max_cuts_per_node = 6;
+    const CutSet cuts = enumerate_cuts(aig, opts);
+    std::int64_t evaluated = 0;
+    for (auto _ : state) {
+        CutConeEvaluator evaluator(aig);
+        std::uint64_t fold = 0;
+        for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
+            if (!aig.is_and(n)) continue;
+            for (const Cut& cut : cuts.cuts[n]) {
+                fold ^= evaluator.evaluate(n, cut).hash();
+                ++evaluated;
+            }
+        }
+        benchmark::DoNotOptimize(fold);
+    }
+    state.SetItemsProcessed(evaluated);
+}
+BENCHMARK(BM_CutConeEvaluate);
 
 void BM_TechMap(benchmark::State& state) {
     const Aig aig = Aig::from_netlist(bench_design(1000)).cleanup();

@@ -9,17 +9,25 @@
 /// and the MFFC work counters that retire the historical O(n^2) refcount
 /// copies. The >= 2x @ 4 workers check is gated on
 /// hardware_concurrency() >= 4 like the route/place benches.
+///
+/// `--smoke` runs a scaled-down byte-identity check as a ctest unit:
+/// optimize + tech_map at 1 and 4 workers and optimize with the memo cache
+/// on and off (nonzero exit on a mismatch; no BENCH file update).
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "janus/logic/aig.hpp"
 #include "janus/logic/aig_rewrite.hpp"
 #include "janus/logic/sop_cache.hpp"
+#include "janus/logic/tech_map.hpp"
+#include "janus/netlist/io.hpp"
 
 using namespace janus;
 using bench::ms_since;
@@ -38,13 +46,68 @@ std::string serialize(const Aig& aig) {
     return os.str();
 }
 
+/// Scaled-down correctness run for ctest: the synth_random path (optimize,
+/// then tech_map) on a 2k-gate design must be byte-identical at 1 and 4
+/// workers and with the SOP memo cache on or off.
+int run_smoke(const std::shared_ptr<const CellLibrary>& lib) {
+    std::printf("bench_synth_parallel --smoke\n");
+    GeneratorConfig cfg;
+    cfg.num_inputs = 32;
+    cfg.num_outputs = 16;
+    cfg.num_gates = 2000;
+    cfg.xor_fraction = 0.3;
+    cfg.seed = 7;
+    const Aig aig = Aig::from_netlist(generate_random(lib, cfg)).cleanup();
+
+    bool ok = true;
+    std::string base_aig, base_mapped;
+    RewriteStats base_stats;
+    // (workers, memo cache): the first run is the reference.
+    for (const auto& [workers, memo] : {std::pair{1, true}, {4, true}, {1, false}}) {
+        RewriteOptions opts;
+        opts.workers = workers;
+        opts.use_sop_cache = memo;
+        RewriteStats rs;
+        const Aig out = optimize(aig, 4, opts, &rs);
+        TechMapOptions mopts;
+        mopts.workers = workers;
+        const std::string mapped = netlist_to_string(tech_map(out, lib, mopts));
+        if (base_aig.empty()) {
+            base_aig = serialize(out);
+            base_mapped = mapped;
+            base_stats = rs;
+            continue;
+        }
+        if (serialize(out) != base_aig || rs.cuts_evaluated != base_stats.cuts_evaluated ||
+            rs.replacements != base_stats.replacements) {
+            std::printf("FAIL: optimize differs at %d workers, memo %s\n", workers,
+                        memo ? "on" : "off");
+            ok = false;
+        }
+        if (mapped != base_mapped) {
+            std::printf("FAIL: tech_map differs at %d workers, memo %s\n", workers,
+                        memo ? "on" : "off");
+            ok = false;
+        }
+    }
+    std::printf("%s: %zu -> %zu AND nodes, %llu cuts, %d replacements, %llu espresso "
+                "calls\n",
+                ok ? "PASS" : "FAIL", base_stats.nodes_before, base_stats.nodes_after,
+                static_cast<unsigned long long>(base_stats.cuts_evaluated),
+                base_stats.replacements,
+                static_cast<unsigned long long>(base_stats.espresso_calls));
+    return ok ? 0 : 1;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    const auto lib = bench::make_lib();
+    if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return run_smoke(lib);
+
     bench::banner("E1 bench_synth_parallel", "Antun Domic (Synopsys)",
                   "deterministic eval-parallel + memoized logic refactoring "
                   "inside one synthesis job");
-    const auto lib = bench::make_lib();
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("hardware_concurrency: %u\n\n", hw);
 

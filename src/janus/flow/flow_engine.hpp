@@ -95,7 +95,7 @@ struct FlowJob {
     /// only ("optimize"/"map"): the flat design was synthesized once, and
     /// re-synthesizing a block would restructure logic the stitcher must
     /// carry back verbatim.
-    std::vector<std::string> skip_stages;
+    std::vector<std::string> skip_stages = {};
 };
 
 class FlowEngine {

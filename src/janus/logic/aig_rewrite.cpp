@@ -44,10 +44,13 @@ CutEval evaluate_cut(const TruthTable& tt, SopCache& cache) {
         e.const1 = true;
         return e;
     }
-    Cover on = cache.minimized(tt);
-    Cover off = cache.minimized(~tt);
+    // Both phases are read in place from the memo; only the chosen one is
+    // copied out.
+    Cover on_scratch, off_scratch;
+    const Cover& on = cache.minimized(tt, on_scratch);
+    const Cover& off = cache.minimized(~tt, off_scratch);
     e.use_off = sop_prefers_off_phase(on, off);
-    e.cover = e.use_off ? std::move(off) : std::move(on);
+    e.cover = e.use_off ? off : on;
     e.est_nodes = sop_node_estimate(e.cover);
     return e;
 }

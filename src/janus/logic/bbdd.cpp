@@ -9,6 +9,7 @@ Bbdd::Bbdd(int num_vars) : num_vars_(num_vars) {
     if (num_vars < 1 || num_vars > 16) {
         throw std::invalid_argument("Bbdd: num_vars out of range");
     }
+    build_cache_.resize(static_cast<std::size_t>(num_vars));
     nodes_.push_back(Node{num_vars_, kFalse, kFalse});
     nodes_.push_back(Node{num_vars_, kTrue, kTrue});
 }
@@ -28,8 +29,8 @@ Bbdd::Ref Bbdd::build(const TruthTable& f, int level) {
     if (f.is_constant(false)) return kFalse;
     if (f.is_constant(true)) return kTrue;
     assert(level < num_vars_);
-    const BuildKey key{level, f.words()};
-    if (const auto it = build_cache_.find(key); it != build_cache_.end()) {
+    auto& cache = build_cache_[static_cast<std::size_t>(level)];
+    if (const auto it = cache.find(f); it != cache.end()) {
         return it->second;
     }
 
@@ -64,7 +65,7 @@ Bbdd::Ref Bbdd::build(const TruthTable& f, int level) {
         const Ref re = build(f_eq, level + 1);
         r = make_node(level, rn, re);
     }
-    build_cache_[key] = r;
+    cache[f] = r;
     return r;
 }
 

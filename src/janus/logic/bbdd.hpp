@@ -14,7 +14,6 @@
 /// variable order, exactly as for ROBDDs.
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -53,9 +52,8 @@ class Bbdd {
     int num_vars_;
     std::vector<Node> nodes_;
     std::unordered_map<std::uint64_t, Ref> unique_;
-    /// Exact memo for from_truth_table: (level, table words) -> node.
-    using BuildKey = std::pair<int, std::vector<std::uint64_t>>;
-    std::map<BuildKey, Ref> build_cache_;
+    /// Exact memo for from_truth_table, one map per level: table -> node.
+    std::vector<std::unordered_map<TruthTable, Ref, TruthTableHash>> build_cache_;
 
     Ref make_node(int level, Ref neq, Ref eq);
     Ref build(const TruthTable& f, int level);

@@ -1,10 +1,10 @@
 #include "janus/logic/bdd.hpp"
 
 #include <algorithm>
-#include <map>
 #include <cassert>
 #include <functional>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace janus {
 
@@ -66,18 +66,18 @@ Bdd::Ref Bdd::from_truth_table(const TruthTable& tt) {
     // Recursive Shannon on the table, top variable = highest index so the
     // natural order x0 < x1 < ... holds along paths. Memoized on the exact
     // table contents: the result depends only on the function.
-    std::map<std::vector<std::uint64_t>, Ref> memo;
+    std::unordered_map<TruthTable, Ref, TruthTableHash> memo;
     std::function<Ref(const TruthTable&, int)> build =
         [&](const TruthTable& f, int level) -> Ref {
         if (f.is_constant(false)) return kFalse;
         if (f.is_constant(true)) return kTrue;
         assert(level >= 0);
-        if (const auto it = memo.find(f.words()); it != memo.end()) return it->second;
+        if (const auto it = memo.find(f); it != memo.end()) return it->second;
         if (!f.depends_on(level)) return build(f, level - 1);
         const Ref lo = build(f.cofactor(level, false), level - 1);
         const Ref hi = build(f.cofactor(level, true), level - 1);
         const Ref r = make_node(level, lo, hi);
-        memo.emplace(f.words(), r);
+        memo.emplace(f, r);
         return r;
     };
     return build(tt, tt.num_vars() - 1);

@@ -48,14 +48,8 @@ Cover Cover::cofactor(int var, bool value) const {
 Cover Cover::cofactor(const Cube& c) const {
     Cover r(num_vars_);
     for (const Cube& g : cubes_) {
-        if (g.distance(c) > 0) continue;  // disjoint from c
-        Cube gg = g;
-        for (int v = 0; v < num_vars_; ++v) {
-            if (c.get(v) == Literal::Pos || c.get(v) == Literal::Neg) {
-                gg.set(v, Literal::DC);
-            }
-        }
-        r.cubes_.push_back(std::move(gg));
+        if (!g.intersects(c)) continue;  // disjoint from c
+        r.cubes_.push_back(g.cofactor(c));
     }
     return r;
 }

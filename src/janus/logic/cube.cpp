@@ -1,28 +1,15 @@
 #include "janus/logic/cube.hpp"
 
-#include <cassert>
+#include <bit>
 #include <stdexcept>
 
 namespace janus {
-namespace {
-
-constexpr int kVarsPerWord = 32;
-
-std::size_t word_of(int var) { return static_cast<std::size_t>(var) / kVarsPerWord; }
-int shift_of(int var) { return (var % kVarsPerWord) * 2; }
-
-}  // namespace
-
 Cube::Cube(int num_vars) : num_vars_(num_vars) {
     if (num_vars < 0) throw std::invalid_argument("Cube: negative num_vars");
-    bits_.assign((static_cast<std::size_t>(num_vars) + kVarsPerWord - 1) / kVarsPerWord,
-                 ~0ull);
-    // Clear the unused tail so equality works word-wise.
-    if (num_vars % kVarsPerWord != 0 && !bits_.empty()) {
-        const int used = (num_vars % kVarsPerWord) * 2;
-        bits_.back() &= (used == 64) ? ~0ull : ((1ull << used) - 1);
-    }
-    if (num_vars == 0) bits_.clear();
+    if (!is_inline()) heap_.resize((static_cast<std::size_t>(num_vars) + 31) / 32);
+    // Unused tail lanes stay 00 so equality works word-wise.
+    const auto ws = mutable_words();
+    for (std::size_t i = 0; i < ws.size(); ++i) ws[i] = full_word(i);
 }
 
 Cube Cube::from_string(const std::string& s) {
@@ -38,45 +25,35 @@ Cube Cube::from_string(const std::string& s) {
     return c;
 }
 
-Literal Cube::get(int var) const {
-    assert(var >= 0 && var < num_vars_);
-    return static_cast<Literal>((bits_[word_of(var)] >> shift_of(var)) & 0b11);
-}
-
-void Cube::set(int var, Literal lit) {
-    assert(var >= 0 && var < num_vars_);
-    auto& w = bits_[word_of(var)];
-    w &= ~(0b11ull << shift_of(var));
-    w |= static_cast<std::uint64_t>(lit) << shift_of(var);
-}
-
 bool Cube::is_empty() const {
-    for (int v = 0; v < num_vars_; ++v) {
-        if (get(v) == Literal::Empty) return true;
+    const auto ws = words();
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+        if (empty_lanes(ws[i]) & full_word(i)) return true;
     }
     return false;
 }
 
 bool Cube::is_full() const {
-    for (int v = 0; v < num_vars_; ++v) {
-        if (get(v) != Literal::DC) return false;
+    const auto ws = words();
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+        if (ws[i] != full_word(i)) return false;
     }
     return true;
 }
 
 int Cube::num_literals() const {
+    // A literal lane holds 01 or 10: its two bits differ.
     int n = 0;
-    for (int v = 0; v < num_vars_; ++v) {
-        const Literal l = get(v);
-        if (l == Literal::Pos || l == Literal::Neg) ++n;
-    }
+    for (const auto w : words()) n += std::popcount((w ^ (w >> 1)) & kLaneLow);
     return n;
 }
 
 bool Cube::contains(const Cube& other) const {
     assert(num_vars_ == other.num_vars_);
-    for (std::size_t i = 0; i < bits_.size(); ++i) {
-        if ((bits_[i] | other.bits_[i]) != bits_[i]) return false;
+    const auto a = words();
+    const auto b = other.words();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if ((a[i] | b[i]) != a[i]) return false;
     }
     return true;
 }
@@ -84,38 +61,61 @@ bool Cube::contains(const Cube& other) const {
 int Cube::distance(const Cube& other) const {
     assert(num_vars_ == other.num_vars_);
     int d = 0;
-    for (int v = 0; v < num_vars_; ++v) {
-        const auto a = static_cast<unsigned>(get(v));
-        const auto b = static_cast<unsigned>(other.get(v));
-        if ((a & b) == 0) ++d;
+    for (std::size_t i = 0; i < words().size(); ++i) {
+        d += std::popcount(conflict_lanes(i, other));
     }
     return d;
 }
 
 std::optional<Cube> Cube::intersect(const Cube& other) const {
     assert(num_vars_ == other.num_vars_);
-    Cube r(num_vars_);
-    for (std::size_t i = 0; i < bits_.size(); ++i) r.bits_[i] = bits_[i] & other.bits_[i];
+    Cube r = *this;
+    const auto b = other.words();
+    const auto ws = r.mutable_words();
+    for (std::size_t i = 0; i < ws.size(); ++i) ws[i] &= b[i];
     if (r.is_empty()) return std::nullopt;
     return r;
 }
 
 Cube Cube::supercube(const Cube& other) const {
     assert(num_vars_ == other.num_vars_);
-    Cube r(num_vars_);
-    for (std::size_t i = 0; i < bits_.size(); ++i) r.bits_[i] = bits_[i] | other.bits_[i];
+    Cube r = *this;
+    const auto b = other.words();
+    const auto ws = r.mutable_words();
+    for (std::size_t i = 0; i < ws.size(); ++i) ws[i] |= b[i];
     return r;
 }
 
 std::optional<Cube> Cube::consensus(const Cube& other) const {
-    if (distance(other) != 1) return std::nullopt;
-    Cube r(num_vars_);
-    for (int v = 0; v < num_vars_; ++v) {
-        const auto a = static_cast<unsigned>(get(v));
-        const auto b = static_cast<unsigned>(other.get(v));
-        const unsigned meet = a & b;
-        r.set(v, meet == 0 ? Literal::DC : static_cast<Literal>(meet));
+    assert(num_vars_ == other.num_vars_);
+    // Distance exactly 1: one word holds conflicts, and only one lane.
+    std::size_t conflict_word = 0;
+    std::uint64_t conflict = 0;
+    for (std::size_t i = 0; i < words().size(); ++i) {
+        const std::uint64_t c = conflict_lanes(i, other);
+        if (!c) continue;
+        if (conflict || (c & (c - 1))) return std::nullopt;
+        conflict_word = i;
+        conflict = c;
     }
+    if (!conflict) return std::nullopt;
+    // The meet of the two cubes, with the conflicting variable raised to DC.
+    Cube r = *this;
+    const auto b = other.words();
+    const auto ws = r.mutable_words();
+    for (std::size_t i = 0; i < ws.size(); ++i) ws[i] &= b[i];
+    ws[conflict_word] |= conflict | (conflict << 1);
+    return r;
+}
+
+Cube Cube::cofactor(const Cube& c) const {
+    assert(num_vars_ == c.num_vars_ && intersects(c));
+    // A literal lane of c complements to the opposite literal, which ORs
+    // this cube's (intersecting) lane up to DC; a DC lane complements to 00.
+    Cube r = *this;
+    const auto b = c.words();
+    const auto ws = r.mutable_words();
+    for (std::size_t i = 0; i < ws.size(); ++i) ws[i] |= ~b[i] & full_word(i);
     return r;
 }
 

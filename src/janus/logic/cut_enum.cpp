@@ -145,53 +145,65 @@ CutConeEvaluator::CutConeEvaluator(const Aig& aig)
 TruthTable CutConeEvaluator::evaluate(std::uint32_t root, const Cut& cut) {
     const int k = static_cast<int>(cut.leaves.size());
     if (k > 16) throw std::invalid_argument("cut_truth_table: cut too large");
+    // Every table is `width` words; complementing flips the minterms a
+    // k-variable table uses.
+    const std::size_t width = k <= 6 ? 1 : std::size_t{1} << (k - 6);
+    const std::uint64_t used = k >= 6 ? ~0ull : (1ull << (1u << k)) - 1;
     ++epoch_;
-    tables_.clear();
+    words_.clear();
+    std::uint32_t slots = 0;
     for (int i = 0; i < k; ++i) {
         const std::uint32_t leaf = cut.leaves[static_cast<std::size_t>(i)];
-        slot_[leaf] = static_cast<std::uint32_t>(tables_.size());
+        slot_[leaf] = slots++;
         stamp_[leaf] = epoch_;
-        tables_.push_back(TruthTable::variable(k, i));
+        const TruthTable var = TruthTable::variable(k, i);
+        words_.insert(words_.end(), var.words().begin(), var.words().end());
     }
-    if (stamp_[root] == epoch_) return tables_[slot_[root]];  // trivial cut
 
-    // Collect the cone between leaves and root, then evaluate it in index
-    // order (AIG indices are topological, so sorting ascending is a valid
-    // schedule and fanins always resolve to an earlier slot).
-    cone_.clear();
-    stack_.clear();
-    stack_.push_back(root);
-    while (!stack_.empty()) {
-        const std::uint32_t n = stack_.back();
-        stack_.pop_back();
-        if (stamp_[n] == epoch_) continue;  // leaf or already collected
-        if (!aig_.is_and(n)) {
-            if (n == 0) {
-                // Constant node reached below the leaves.
-                slot_[n] = static_cast<std::uint32_t>(tables_.size());
-                stamp_[n] = epoch_;
-                tables_.push_back(TruthTable::constant(k, false));
-                continue;
+    if (stamp_[root] != epoch_) {
+        // Collect the cone between leaves and root, then evaluate it in
+        // index order (AIG indices are topological, so sorting ascending is
+        // a valid schedule and fanins always resolve to an earlier slot).
+        cone_.clear();
+        stack_.clear();
+        stack_.push_back(root);
+        while (!stack_.empty()) {
+            const std::uint32_t n = stack_.back();
+            stack_.pop_back();
+            if (stamp_[n] == epoch_) continue;  // leaf or already collected
+            if (!aig_.is_and(n)) {
+                if (n == 0) {
+                    // Constant node reached below the leaves.
+                    slot_[n] = slots++;
+                    stamp_[n] = epoch_;
+                    words_.insert(words_.end(), width, 0);
+                    continue;
+                }
+                throw std::logic_error("cut_truth_table: leaf set does not cover cone");
             }
-            throw std::logic_error("cut_truth_table: leaf set does not cover cone");
+            stamp_[n] = epoch_;
+            cone_.push_back(n);
+            stack_.push_back(aig_node(aig_.fanin0(n)));
+            stack_.push_back(aig_node(aig_.fanin1(n)));
         }
-        stamp_[n] = epoch_;
-        cone_.push_back(n);
-        stack_.push_back(aig_node(aig_.fanin0(n)));
-        stack_.push_back(aig_node(aig_.fanin1(n)));
+        std::sort(cone_.begin(), cone_.end());
+        for (const std::uint32_t n : cone_) {
+            const AigLit l0 = aig_.fanin0(n);
+            const AigLit l1 = aig_.fanin1(n);
+            const std::size_t a = slot_[aig_node(l0)] * width;
+            const std::size_t b = slot_[aig_node(l1)] * width;
+            const std::uint64_t inv0 = aig_is_complement(l0) ? used : 0;
+            const std::uint64_t inv1 = aig_is_complement(l1) ? used : 0;
+            slot_[n] = slots++;
+            words_.resize(words_.size() + width);
+            const std::size_t out = slot_[n] * width;
+            for (std::size_t j = 0; j < width; ++j) {
+                words_[out + j] = (words_[a + j] ^ inv0) & (words_[b + j] ^ inv1);
+            }
+        }
     }
-    std::sort(cone_.begin(), cone_.end());
-    for (const std::uint32_t n : cone_) {
-        const AigLit l0 = aig_.fanin0(n);
-        const AigLit l1 = aig_.fanin1(n);
-        const TruthTable a = aig_is_complement(l0) ? ~tables_[slot_[aig_node(l0)]]
-                                                   : tables_[slot_[aig_node(l0)]];
-        const TruthTable b = aig_is_complement(l1) ? ~tables_[slot_[aig_node(l1)]]
-                                                   : tables_[slot_[aig_node(l1)]];
-        slot_[n] = static_cast<std::uint32_t>(tables_.size());
-        tables_.push_back(a & b);
-    }
-    return tables_[slot_[root]];
+    return TruthTable::from_words(
+        k, std::span<const std::uint64_t>(words_).subspan(slot_[root] * width, width));
 }
 
 TruthTable cut_truth_table(const Aig& aig, std::uint32_t root, const Cut& cut) {

@@ -47,7 +47,9 @@ CutSet enumerate_cuts(const Aig& aig, const CutEnumOptions& opts = {});
 /// Reusable scratch for cut-function evaluation. Replaces the historical
 /// per-call `unordered_map<node, TruthTable>` with flat cone-indexed
 /// vectors: an epoch-stamped node->slot array (O(1) reset between cuts)
-/// plus a dense table vector ordered leaves-first. Construct once per
+/// plus one flat word array holding every cone node's table, leaves first.
+/// A cut of at most six leaves is one word per node, so evaluating it
+/// allocates nothing once the scratch has grown. Construct once per
 /// worker and call `evaluate` per cut; instances are not thread-safe but
 /// independent instances may run concurrently on one shared Aig.
 class CutConeEvaluator {
@@ -64,7 +66,7 @@ class CutConeEvaluator {
     std::vector<std::uint32_t> slot_;   ///< node -> index into tables_
     std::vector<std::uint32_t> stamp_;  ///< slot_[n] valid iff stamp_[n] == epoch_
     std::uint32_t epoch_ = 0;
-    std::vector<TruthTable> tables_;
+    std::vector<std::uint64_t> words_;  ///< slot s: words_[s*width, (s+1)*width)
     std::vector<std::uint32_t> cone_;   ///< AND nodes strictly inside the cut
     std::vector<std::uint32_t> stack_;
 };

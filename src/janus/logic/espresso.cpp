@@ -9,7 +9,7 @@ namespace {
 /// True if `c` intersects any cube of `off`.
 bool hits_offset(const Cube& c, const Cover& off) {
     for (const Cube& o : off.cubes()) {
-        if (c.distance(o) == 0) return true;
+        if (c.intersects(o)) return true;
     }
     return false;
 }
@@ -29,7 +29,7 @@ Cube expand_cube(Cube c, const Cover& off) {
         Cube raised = c;
         raised.set(v, Literal::DC);
         for (const Cube& o : off.cubes()) {
-            if (raised.distance(o) == 0) ++blockers[static_cast<std::size_t>(v)];
+            if (raised.intersects(o)) ++blockers[static_cast<std::size_t>(v)];
         }
     }
     std::sort(order.begin(), order.end(), [&](int a, int b) {

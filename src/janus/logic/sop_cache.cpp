@@ -17,17 +17,15 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-std::size_t SopCache::KeyHash::operator()(const Key& k) const {
-    std::uint64_t h = mix64(k.num_vars + 0x9e3779b97f4a7c15ull);
-    for (const std::uint64_t w : k.words) h = mix64(h ^ w);
+std::size_t SopCache::KeyHash::operator()(const TruthTable& tt) const {
+    std::uint64_t h =
+        mix64(static_cast<std::uint64_t>(tt.num_vars()) + 0x9e3779b97f4a7c15ull);
+    for (const std::uint64_t w : tt.words()) h = mix64(h ^ w);
     return static_cast<std::size_t>(h);
 }
 
-Cover SopCache::minimized(const TruthTable& tt) {
-    Key key;
-    key.num_vars = static_cast<std::uint32_t>(tt.num_vars());
-    key.words = tt.words();
-    Shard& shard = shards_[KeyHash{}(key) % kShards];
+const Cover& SopCache::minimized(const TruthTable& tt, Cover& scratch) {
+    Shard& shard = shards_[KeyHash{}(tt) % kShards];
 
     if (!enabled_) {
         {
@@ -36,13 +34,14 @@ Cover SopCache::minimized(const TruthTable& tt) {
             ++shard.stats.misses;
             ++shard.stats.espresso_calls;
         }
-        return espresso(Cover::from_truth_table(tt)).cover;
+        scratch = espresso(Cover::from_truth_table(tt)).cover;
+        return scratch;
     }
 
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         ++shard.stats.queries;
-        const auto it = shard.map.find(key);
+        const auto it = shard.map.find(tt);
         if (it != shard.map.end()) {
             ++shard.stats.hits;
             return it->second;
@@ -54,8 +53,9 @@ Cover SopCache::minimized(const TruthTable& tt) {
     Cover cover = espresso(Cover::from_truth_table(tt)).cover;
     std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.stats.espresso_calls;
-    const auto [it, inserted] = shard.map.emplace(std::move(key), std::move(cover));
+    const auto [it, inserted] = shard.map.emplace(tt, std::move(cover));
     if (inserted) ++shard.stats.misses;
+    // Map nodes never move, so the reference outlives the lock.
     return it->second;
 }
 

@@ -6,14 +6,16 @@
 /// (and across optimization rounds), so the Espresso loop is the ideal
 /// memoization target: its result is a pure function of the truth table.
 ///
-/// Canonicalization: entries are keyed by the exact truth table
-/// (num_vars + packed words). Output-phase sharing falls out of the dual
-/// query pattern — the OFF-phase cover of f is the ON-phase cover of ~f,
-/// so both polarities of a function and both phases of its complement all
-/// resolve to two cache entries. Input-negation/permutation (NPN) folding
-/// would shrink the key space further but requires mapping covers back
-/// through the transform; the cache interface deliberately hides the key
-/// so that can land later without touching callers (docs/SYNTH.md).
+/// Canonicalization: entries are keyed by the exact truth table. A function
+/// of up to six inputs (refactoring cuts have five) is its variable count
+/// plus one inline word, so building a key never allocates. Output-phase
+/// sharing falls out of the dual query pattern — the OFF-phase cover of f
+/// is the ON-phase cover of ~f, so both polarities of a function and both
+/// phases of its complement all resolve to two cache entries.
+/// Input-negation/permutation (NPN) folding would shrink the key space
+/// further but requires mapping covers back through the transform; the
+/// cache interface deliberately hides the key so that can land later
+/// without touching callers (docs/SYNTH.md).
 ///
 /// Thread safety: `minimized()` may be called concurrently (the rewrite
 /// engine queries it from its eval-parallel phase). The map is sharded by
@@ -26,7 +28,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "janus/logic/cover.hpp"
 #include "janus/logic/truth_table.hpp"
@@ -56,8 +57,11 @@ class SopCache {
 
     /// Minimized ON-set cover of `tt`: bit-for-bit the value of
     /// `espresso(Cover::from_truth_table(tt)).cover`, memoized. The
-    /// OFF-phase cover of a function is `minimized(~tt)`.
-    Cover minimized(const TruthTable& tt);
+    /// OFF-phase cover of a function is `minimized(~tt, ...)`. The result
+    /// is read in place from the memo, and the reference stays valid for
+    /// the cache's lifetime (entries are never erased). A disabled cache
+    /// minimizes into `scratch` and returns it.
+    const Cover& minimized(const TruthTable& tt, Cover& scratch);
 
     bool enabled() const { return enabled_; }
 
@@ -68,17 +72,12 @@ class SopCache {
     std::size_t size() const;
 
   private:
-    struct Key {
-        std::uint32_t num_vars = 0;
-        std::vector<std::uint64_t> words;
-        bool operator==(const Key& o) const = default;
-    };
     struct KeyHash {
-        std::size_t operator()(const Key& k) const;
+        std::size_t operator()(const TruthTable& tt) const;
     };
     struct Shard {
         mutable std::mutex mutex;
-        std::unordered_map<Key, Cover, KeyHash> map;
+        std::unordered_map<TruthTable, Cover, KeyHash> map;
         Stats stats;
     };
 

@@ -1,8 +1,9 @@
 #include "janus/logic/tech_map.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
@@ -21,11 +22,20 @@ struct Pattern {
     double cost = 0;            ///< cell area + inverter areas
 };
 
-/// Match tables per cut size k: truth-table words -> cheapest pattern.
+/// Match tables per cut size k. A cut has at most kMaxFanin = 4 leaves, so
+/// its truth table is one word below 2^16 and indexes a flat table
+/// directly: by_function[k][word] is the slot of the cheapest pattern in
+/// `patterns`, or -1 when no cell realizes the function.
 struct MatchTables {
-    std::map<std::vector<std::uint64_t>, Pattern> table[kMaxFanin + 1];
+    std::vector<Pattern> patterns;
+    std::vector<std::int32_t> by_function[kMaxFanin + 1];
     double inv_area = 0;
     std::size_t inv_cell = 0;
+
+    const Pattern* find(int k, std::uint64_t word) const {
+        const std::int32_t slot = by_function[k][word];
+        return slot < 0 ? nullptr : &patterns[static_cast<std::size_t>(slot)];
+    }
 };
 
 MatchTables build_match_tables(const CellLibrary& lib) {
@@ -34,18 +44,15 @@ MatchTables build_match_tables(const CellLibrary& lib) {
     if (!inv) throw std::runtime_error("tech_map: library lacks INV");
     mt.inv_cell = *inv;
     mt.inv_area = lib.cell(*inv).area_um2;
+    for (int k = 0; k <= kMaxFanin; ++k) {
+        mt.by_function[k].assign(std::size_t{1} << (1u << k), -1);
+    }
 
     for (std::size_t ci = 0; ci < lib.size(); ++ci) {
         const CellType& cell = lib.cell(ci);
         if (is_sequential(cell.function) || cell.drive != 1) continue;
         const int k = function_arity(cell.function);
         if (k < 1 || k > kMaxFanin) continue;
-
-        // Base truth table of the cell over its own pins.
-        TruthTable base(k);
-        for (std::uint64_t m = 0; m < base.num_minterms_space(); ++m) {
-            base.set_bit(m, evaluate_function(cell.function, static_cast<unsigned>(m)));
-        }
 
         std::vector<int> perm(static_cast<std::size_t>(k));
         for (int i = 0; i < k; ++i) perm[static_cast<std::size_t>(i)] = i;
@@ -55,8 +62,8 @@ MatchTables build_match_tables(const CellLibrary& lib) {
                 for (const bool oinv : {false, true}) {
                     // Function seen at the cut: variable j of the cut feeds
                     // cell pin i where perm[i] = j, with optional inversion.
-                    TruthTable tt(k);
-                    for (std::uint64_t m = 0; m < tt.num_minterms_space(); ++m) {
+                    std::uint64_t word = 0;
+                    for (unsigned m = 0; m < (1u << k); ++m) {
                         unsigned pins = 0;
                         for (int pin = 0; pin < k; ++pin) {
                             const int leaf = perm[static_cast<std::size_t>(pin)];
@@ -66,7 +73,7 @@ MatchTables build_match_tables(const CellLibrary& lib) {
                         }
                         bool y = evaluate_function(cell.function, pins);
                         if (oinv) y = !y;
-                        tt.set_bit(m, y);
+                        if (y) word |= 1ull << m;
                     }
                     Pattern p;
                     p.cell = ci;
@@ -75,10 +82,12 @@ MatchTables build_match_tables(const CellLibrary& lib) {
                     p.output_inv = oinv;
                     p.cost = cell.area_um2 +
                              mt.inv_area * (std::popcount(phase) + (oinv ? 1 : 0));
-                    auto& slot = mt.table[k];
-                    const auto it = slot.find(tt.words());
-                    if (it == slot.end() || p.cost < it->second.cost) {
-                        slot[tt.words()] = std::move(p);
+                    std::int32_t& slot = mt.by_function[k][word];
+                    if (slot < 0) {
+                        slot = static_cast<std::int32_t>(mt.patterns.size());
+                        mt.patterns.push_back(std::move(p));
+                    } else if (p.cost < mt.patterns[static_cast<std::size_t>(slot)].cost) {
+                        mt.patterns[static_cast<std::size_t>(slot)] = std::move(p);
                     }
                 }
             }
@@ -87,10 +96,11 @@ MatchTables build_match_tables(const CellLibrary& lib) {
     return mt;
 }
 
-/// Chosen implementation of one AIG node.
+/// Chosen implementation of one AIG node: pointers into the node's cut
+/// list and the match tables, both alive for the whole mapping.
 struct Choice {
-    Cut cut;
-    Pattern pattern;
+    const Cut* cut = nullptr;
+    const Pattern* pattern = nullptr;
     double area_flow = 0;
 };
 
@@ -125,15 +135,15 @@ Netlist tech_map(const Aig& aig, std::shared_ptr<const CellLibrary> lib,
             if (cut.trivial()) continue;
             ++counters.cuts_evaluated;
             const TruthTable tt = evaluator.evaluate(n, cut);
-            const auto k = static_cast<int>(cut.leaves.size());
-            const auto it = mt.table[k].find(tt.words());
-            if (it == mt.table[k].end()) continue;
+            const Pattern* pattern =
+                mt.find(static_cast<int>(cut.leaves.size()), tt.words()[0]);
+            if (!pattern) continue;
             ++counters.matched_cuts;
-            double flow = it->second.cost;
+            double flow = pattern->cost;
             for (const std::uint32_t l : cut.leaves) flow += af[l];
             if (best < 0 || flow < best) {
                 best = flow;
-                choice[n] = Choice{cut, it->second, flow};
+                choice[n] = Choice{&cut, pattern, flow};
             }
         }
         if (best < 0) {
@@ -203,7 +213,7 @@ Netlist tech_map(const Aig& aig, std::shared_ptr<const CellLibrary> lib,
         stack.pop_back();
         if (required[n]) continue;
         required[n] = true;
-        for (const std::uint32_t l : choice[n].cut.leaves) {
+        for (const std::uint32_t l : choice[n].cut->leaves) {
             if (aig.is_and(l)) stack.push_back(l);
         }
     }
@@ -229,18 +239,19 @@ Netlist tech_map(const Aig& aig, std::shared_ptr<const CellLibrary> lib,
 
     for (const std::uint32_t n : aig.topological_order()) {
         if (!aig.is_and(n) || !required[n]) continue;
-        const Choice& ch = choice[n];
-        const CellType& cell = lib->cell(ch.pattern.cell);
+        const Cut& cut = *choice[n].cut;
+        const Pattern& pattern = *choice[n].pattern;
+        const CellType& cell = lib->cell(pattern.cell);
         const int k = function_arity(cell.function);
         std::vector<NetId> pins(static_cast<std::size_t>(k));
         for (int pin = 0; pin < k; ++pin) {
             const std::uint32_t leaf =
-                ch.cut.leaves[static_cast<std::size_t>(ch.pattern.perm[static_cast<std::size_t>(pin)])];
+                cut.leaves[static_cast<std::size_t>(pattern.perm[static_cast<std::size_t>(pin)])];
             pins[static_cast<std::size_t>(pin)] =
-                (ch.pattern.input_inv & (1u << pin)) ? inverted_net(leaf) : signal[leaf];
+                (pattern.input_inv & (1u << pin)) ? inverted_net(leaf) : signal[leaf];
         }
-        const InstId g = nl.add_instance("m" + std::to_string(n), ch.pattern.cell, pins);
-        if (ch.pattern.output_inv) {
+        const InstId g = nl.add_instance("m" + std::to_string(n), pattern.cell, pins);
+        if (pattern.output_inv) {
             const InstId gi = nl.add_instance("mo" + std::to_string(n), inv_cell,
                                               {nl.instance(g).output});
             signal[n] = nl.instance(gi).output;

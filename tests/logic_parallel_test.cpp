@@ -23,6 +23,7 @@
 #include "janus/logic/sop_cache.hpp"
 #include "janus/logic/tech_map.hpp"
 #include "janus/netlist/generator.hpp"
+#include "janus/netlist/io.hpp"
 #include "janus/util/rng.hpp"
 
 namespace janus {
@@ -252,12 +253,15 @@ TEST(SopCache, MemoizesExactEspressoResult) {
         tt.set_bit(m, rng.next_bool());
     }
     const Cover direct = espresso(Cover::from_truth_table(tt)).cover;
-    const Cover first = cache.minimized(tt);
-    const Cover again = cache.minimized(tt);
+    Cover scratch;
+    const Cover& first = cache.minimized(tt, scratch);
+    const Cover& again = cache.minimized(tt, scratch);
     EXPECT_EQ(first.to_truth_table(), direct.to_truth_table());
     EXPECT_EQ(first.size(), direct.size());
     EXPECT_EQ(first.num_literals(), direct.num_literals());
-    EXPECT_EQ(again.size(), direct.size());
+    // Both queries read the one memoized entry in place.
+    EXPECT_EQ(&again, &first);
+    EXPECT_NE(&first, &scratch);
     const auto stats = cache.stats();
     EXPECT_EQ(stats.queries, 2u);
     EXPECT_EQ(stats.misses, 1u);
@@ -265,15 +269,17 @@ TEST(SopCache, MemoizesExactEspressoResult) {
     EXPECT_EQ(stats.espresso_calls, 1u);
     EXPECT_EQ(cache.size(), 1u);
     // The OFF phase is just the ON cover of the complement: a second entry.
-    (void)cache.minimized(~tt);
+    (void)cache.minimized(~tt, scratch);
     EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(SopCache, DisabledCacheCountsButStoresNothing) {
     SopCache cache(false);
     const TruthTable tt = TruthTable::variable(3, 1);
-    (void)cache.minimized(tt);
-    (void)cache.minimized(tt);
+    Cover scratch;
+    EXPECT_EQ(&cache.minimized(tt, scratch), &scratch);
+    EXPECT_EQ(scratch.to_truth_table(), tt);
+    EXPECT_EQ(&cache.minimized(tt, scratch), &scratch);
     const auto stats = cache.stats();
     EXPECT_EQ(stats.queries, 2u);
     EXPECT_EQ(stats.hits, 0u);
@@ -286,8 +292,9 @@ TEST(SopCache, PhaseTieBreakPrefersOnPhase) {
     // tie, which must deterministically keep the ON-phase.
     const TruthTable x = TruthTable::variable(2, 0) ^ TruthTable::variable(2, 1);
     SopCache cache;
-    const Cover on = cache.minimized(x);
-    const Cover off = cache.minimized(~x);
+    Cover on_scratch, off_scratch;
+    const Cover& on = cache.minimized(x, on_scratch);
+    const Cover& off = cache.minimized(~x, off_scratch);
     ASSERT_EQ(on.size() * 4 + static_cast<std::size_t>(on.num_literals()),
               off.size() * 4 + static_cast<std::size_t>(off.num_literals()));
     EXPECT_FALSE(sop_prefers_off_phase(on, off));
@@ -449,6 +456,72 @@ TEST(FlowSynth, OptimizeAndMapStagesEmitDetail) {
     EXPECT_NE(map_entry.find_note("cuts"), nullptr);
     EXPECT_NE(map_entry.find_note("matched"), nullptr);
     EXPECT_EQ(map_entry.note_int("workers"), 2);
+}
+
+
+// Output pinned to recorded values: the identity tests above compare
+// worker counts within one build, so a kernel change that alters the
+// mapped netlist identically at every worker count would pass them. A
+// change that alters synthesis output on purpose re-records these figures
+// and says why. At 4 workers two threads may race to minimize one
+// function, which moves memo hits into Espresso calls but leaves their sum
+// (the number of queries) fixed.
+TEST(FlowSynth, MappedOutputAndCountersMatchRecordedValues) {
+    struct Pinned {
+        std::uint64_t seed;
+        std::uint64_t netlist_fnv1a;
+        std::size_t instances;
+        std::int64_t opt_cuts, memo_hits, memo_misses, espresso, replacements;
+        std::int64_t map_cuts, matched;
+    };
+    const Pinned pinned[] = {
+        {1, 0x36d36f0e9a04990cull, 1912, 28672, 51494, 5662, 5662, 2036, 19906, 9845},
+        {2, 0xcf600192bc4332e6ull, 1744, 26406, 47266, 5430, 5430, 2060, 18349, 9103},
+    };
+    const auto fnv1a = [](const std::string& text) {
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (const unsigned char c : text) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+        return h;
+    };
+    for (const Pinned& p : pinned) {
+        GeneratorConfig cfg;
+        cfg.num_inputs = 32;
+        cfg.num_outputs = 16;
+        cfg.num_gates = 2000;
+        cfg.xor_fraction = 0.3;
+        cfg.seed = p.seed;
+        const Netlist nl = generate_random(lib28(), cfg);
+        for (const int workers : {1, 4}) {
+            FlowParams params;
+            params.workers = workers;
+            FlowEngine engine;
+            FlowContext ctx(nl, *find_node("28nm"), params);
+            engine.run_to(ctx, "map");
+            SCOPED_TRACE("seed " + std::to_string(p.seed) + " workers " +
+                         std::to_string(workers));
+            EXPECT_EQ(fnv1a(netlist_to_string(ctx.netlist)), p.netlist_fnv1a);
+            EXPECT_EQ(ctx.netlist.num_instances(), p.instances);
+            ASSERT_GE(ctx.trace.entries.size(), 2u);
+            const auto& opt = ctx.trace.entries[0];
+            const auto& map = ctx.trace.entries[1];
+            ASSERT_EQ(opt.stage, "optimize");
+            ASSERT_EQ(map.stage, "map");
+            EXPECT_EQ(opt.note_int("cuts"), p.opt_cuts);
+            EXPECT_EQ(opt.note_int("memo_misses"), p.memo_misses);
+            EXPECT_EQ(opt.note_int("replacements"), p.replacements);
+            EXPECT_EQ(opt.note_int("memo_hits") + opt.note_int("espresso"),
+                      p.memo_hits + p.espresso);
+            if (workers == 1) {
+                EXPECT_EQ(opt.note_int("memo_hits"), p.memo_hits);
+                EXPECT_EQ(opt.note_int("espresso"), p.espresso);
+            }
+            EXPECT_EQ(map.note_int("cuts"), p.map_cuts);
+            EXPECT_EQ(map.note_int("matched"), p.matched);
+        }
+    }
 }
 
 }  // namespace
