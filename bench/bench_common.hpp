@@ -1,8 +1,8 @@
 #pragma once
 /// \file bench_common.hpp
 /// Shared helpers for the experiment benches (E1..E13): library/netlist
-/// construction, uniform claim/shape-check reporting, wall-clock timing and
-/// the BENCH_*.json ledger writer.
+/// construction, uniform claim/shape-check reporting, wall-clock timing,
+/// peak memory and the BENCH_*.json ledger writer.
 
 #include <chrono>
 #include <cstdio>
@@ -81,6 +81,19 @@ inline double ms_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/// Peak resident set size of this process in MiB, from VmHWM in
+/// /proc/self/status (Linux); 0 where that is unavailable.
+inline double peak_rss_mb() {
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmHWM:", 0) == 0) {
+            return std::stod(line.substr(6)) / 1024.0;  // kB -> MiB
+        }
+    }
+    return 0.0;
 }
 
 }  // namespace janus::bench

@@ -330,15 +330,15 @@ FlowResult FlowEngine::run_to(FlowContext& ctx, std::string_view last_stage) con
 }
 
 std::vector<FlowResult> FlowEngine::run_batch(
-    const std::vector<FlowJob>& jobs, int workers,
+    std::vector<FlowJob> jobs, int workers,
     std::vector<StageTrace>* traces) const {
-    // Jobs are independent by construction (each context owns its netlist
-    // copy; stages seed their own RNGs from params), so results indexed by
-    // job are bit-identical whatever the worker count or admission order.
+    // Jobs are independent by construction (each context owns its netlist;
+    // stages seed their own RNGs from params), so results indexed by job
+    // are bit-identical whatever the worker count or admission order.
     FlowScheduler scheduler(*this, workers);
     std::vector<JobHandle> handles;
     handles.reserve(jobs.size());
-    for (const FlowJob& job : jobs) handles.push_back(scheduler.submit(job));
+    for (FlowJob& job : jobs) handles.push_back(scheduler.submit(std::move(job)));
 
     std::vector<FlowResult> results;
     std::vector<StageTrace> local_traces;

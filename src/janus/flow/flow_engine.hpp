@@ -128,12 +128,13 @@ class FlowEngine {
     /// through `traces` (job order) when non-null.
     ///
     /// Thin wrapper over FlowScheduler (janus/server/scheduler.hpp): every
-    /// job is submitted as a JobHandle and waited for in order. A job that
+    /// job is moved into a JobHandle and waited for in order, so a caller
+    /// that passes its vector with std::move hands the netlists over
+    /// without a copy (an lvalue argument is copied once). A job that
     /// throws (bad params, a failing stage) surfaces as a failed FlowResult
     /// with `error` populated — sibling jobs run to completion and the pool
     /// is drained normally, never poisoned.
-    std::vector<FlowResult> run_batch(const std::vector<FlowJob>& jobs,
-                                      int workers,
+    std::vector<FlowResult> run_batch(std::vector<FlowJob> jobs, int workers,
                                       std::vector<StageTrace>* traces = nullptr) const;
 
   private:

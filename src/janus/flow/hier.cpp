@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
+#include "janus/server/scheduler.hpp"
 #include "janus/timing/sta.hpp"
 #include "janus/util/geometry.hpp"
 
@@ -122,89 +125,268 @@ HierPartition partition_min_cut(const Netlist& nl, int num_blocks,
 
 namespace {
 
-/// Extracts block `b` as a standalone netlist. Cut nets become block PIs /
-/// POs under the flat design's net name (the stitch key).
-Netlist extract_block(const Netlist& top, const std::vector<int>& block_of,
-                      int b) {
-    Netlist sub(top.library_ptr(),
-                top.name() + "__b" + std::to_string(b));
-    std::vector<NetId> net_map(top.num_nets(), kNoNet);
+/// One block's share of the flat design. Each list is in id order, which
+/// fixes the block netlist's PI, instance and PO order.
+struct BlockSlice {
+    std::vector<InstId> insts;
+    std::vector<NetId> inputs;   ///< read here, driven elsewhere: block PIs
+    std::vector<NetId> outputs;  ///< driven here, read elsewhere or by a top PO: block POs
+};
+
+/// Buckets instances and boundary nets by block in one pass over `top`.
+std::vector<BlockSlice> slice_blocks(const Netlist& top, const HierPartition& part) {
+    std::vector<BlockSlice> slices(part.num_blocks);
+    for (std::size_t b = 0; b < slices.size(); ++b) {
+        slices[b].insts.reserve(part.block_sizes[b]);
+    }
+    for (InstId i = 0; i < top.num_instances(); ++i) {
+        slices[static_cast<std::size_t>(part.block_of[i])].insts.push_back(i);
+    }
 
     // Nets observed by top POs must be exported even when no foreign
     // instance reads them.
     std::vector<char> po_observed(top.num_nets(), 0);
-    for (const auto& [po_name, po_net] : top.primary_outputs()) {
-        (void)po_name;
-        po_observed[po_net] = 1;
-    }
+    for (const auto& po : top.primary_outputs()) po_observed[po.second] = 1;
 
-    // Pass 1: boundary inputs, in top net-id order (deterministic PI order).
+    std::vector<NetId> last_input(slices.size(), kNoNet);  // dedups a net's readers
     for (NetId n = 0; n < top.num_nets(); ++n) {
         const Net& net = top.net(n);
-        const bool driven_in =
-            net.driver_kind == DriverKind::Instance && block_of[net.driver_inst] == b;
-        if (driven_in) continue;
-        bool read_in = false;
+        const int driver = net.driver_kind == DriverKind::Instance
+                               ? part.block_of[net.driver_inst]
+                               : -1;
+        bool read_out = po_observed[n] != 0;
         for (const SinkRef& s : top.sinks(n)) {
-            if (block_of[s.inst()] == b) {
-                read_in = true;
-                break;
+            const int b = part.block_of[s.inst()];
+            if (b == driver) continue;
+            read_out = true;
+            if (last_input[static_cast<std::size_t>(b)] != n) {
+                last_input[static_cast<std::size_t>(b)] = n;
+                slices[static_cast<std::size_t>(b)].inputs.push_back(n);
             }
         }
-        if (read_in) net_map[n] = sub.add_primary_input(top.net_name(n));
+        if (driver >= 0 && read_out) {
+            slices[static_cast<std::size_t>(driver)].outputs.push_back(n);
+        }
+    }
+    return slices;
+}
+
+/// Builds block `b` as a standalone netlist. Cut nets become block PIs /
+/// POs under the flat design's net name (the stitch key). `net_map` (flat
+/// net -> block net) is all kNoNet on entry and is left that way.
+Netlist build_block(const Netlist& top, const BlockSlice& slice, int b,
+                    std::vector<NetId>& net_map) {
+    Netlist sub(top.library_ptr(), top.name() + "__b" + std::to_string(b));
+    for (const NetId n : slice.inputs) {
+        net_map[n] = sub.add_primary_input(top.net_name(n));
     }
 
-    // Pass 2: instances in id order; forward references (a fanin driven by
-    // a later instance of the same block, e.g. flop feedback) stay kNoNet
-    // and are wired in pass 3 — same protocol as the file readers.
-    std::vector<std::pair<InstId, InstId>> created;  // (sub id, top id)
-    for (InstId i = 0; i < top.num_instances(); ++i) {
-        if (block_of[i] != b) continue;
+    // Instances in id order, so block instance j is slice.insts[j].
+    // Forward references (a fanin driven by a later instance of the same
+    // block, e.g. flop feedback) stay kNoNet and are wired in the second
+    // loop — same protocol as the file readers.
+    std::vector<NetId> fanins;
+    for (const InstId i : slice.insts) {
         const Instance& inst = top.instance(i);
-        const int arity = function_arity(top.type_of(i).function);
-        std::vector<NetId> fanins(static_cast<std::size_t>(arity), kNoNet);
-        for (int p = 0; p < arity; ++p) {
-            const NetId f = inst.fanin[static_cast<std::size_t>(p)];
-            if (f != kNoNet && net_map[f] != kNoNet) {
-                fanins[static_cast<std::size_t>(p)] = net_map[f];
-            }
+        fanins.assign(static_cast<std::size_t>(function_arity(top.type_of(i).function)),
+                      kNoNet);
+        for (std::size_t p = 0; p < fanins.size(); ++p) {
+            if (inst.fanin[p] != kNoNet) fanins[p] = net_map[inst.fanin[p]];
         }
         const InstId si = sub.add_instance(top.instance_name(i), inst.type, fanins);
         net_map[inst.output] = sub.instance(si).output;
-        created.emplace_back(si, i);
     }
-
-    // Pass 3: resolve the deferred fanins.
-    for (const auto& [si, ti] : created) {
-        const Instance& tinst = top.instance(ti);
+    for (InstId si = 0; si < slice.insts.size(); ++si) {
+        const InstId ti = slice.insts[si];
         const int arity = function_arity(top.type_of(ti).function);
         for (int p = 0; p < arity; ++p) {
-            const NetId f = tinst.fanin[static_cast<std::size_t>(p)];
-            if (f == kNoNet) continue;
-            if (sub.instance(si).fanin[static_cast<std::size_t>(p)] == kNoNet) {
+            const NetId f = top.instance(ti).fanin[static_cast<std::size_t>(p)];
+            if (f != kNoNet &&
+                sub.instance(si).fanin[static_cast<std::size_t>(p)] == kNoNet) {
                 sub.connect_input(si, p, net_map[f]);
             }
         }
     }
 
-    // Pass 4: boundary outputs — nets driven here and read elsewhere (or
-    // observed by a top PO), exported under the flat net name.
-    for (NetId n = 0; n < top.num_nets(); ++n) {
-        const Net& net = top.net(n);
-        if (net.driver_kind != DriverKind::Instance || block_of[net.driver_inst] != b) {
-            continue;
-        }
-        bool read_out = po_observed[n] != 0;
-        for (const SinkRef& s : top.sinks(n)) {
-            if (block_of[s.inst()] != b) {
-                read_out = true;
-                break;
-            }
-        }
-        if (read_out) sub.add_primary_output(std::string(top.net_name(n)), net_map[n]);
+    for (const NetId n : slice.outputs) {
+        sub.add_primary_output(top.net_name(n), net_map[n]);
     }
+    for (const NetId n : slice.inputs) net_map[n] = kNoNet;
+    for (const InstId i : slice.insts) net_map[top.instance(i).output] = kNoNet;
     return sub;
 }
+
+/// Rebuilds the top netlist from the implemented blocks, joining boundary
+/// nets by name. Blocks are added in block order with their block-local
+/// positions; finish() offsets each block into its floorplan slot, whose
+/// size depends on the largest block. A name two nets share is reported by
+/// finish(), so that the caller can let a failed block take precedence.
+class Stitch {
+  public:
+    explicit Stitch(const Netlist& top)
+        : top_(top), merged_(std::make_shared<Netlist>(top.library_ptr(), top.name())) {
+        for (const NetId pi : top_.primary_inputs()) {
+            const std::string name = top_.net_name(pi);
+            join(name, merged_->add_primary_input(name));
+        }
+    }
+
+    /// Copies one implemented block into the merged netlist. Its instances
+    /// take the next contiguous range of merged ids.
+    void add_block(const Netlist& bn) {
+        const auto first = static_cast<InstId>(merged_->num_instances());
+        first_inst_.push_back(first);
+        Rect extent;
+        std::vector<NetId> bmap(bn.num_nets(), kNoNet);
+        std::vector<NetId> fanins;
+        for (InstId i = 0; i < bn.num_instances(); ++i) {
+            const Instance& inst = bn.instance(i);
+            fanins.assign(static_cast<std::size_t>(function_arity(bn.type_of(i).function)),
+                          kNoNet);
+            for (std::size_t p = 0; p < fanins.size(); ++p) {
+                if (inst.fanin[p] != kNoNet) fanins[p] = bmap[inst.fanin[p]];
+            }
+            Instance& minst = merged_->instance(
+                merged_->add_instance(bn.instance_name(i), inst.type, fanins));
+            bmap[inst.output] = minst.output;
+            minst.placed = inst.placed;
+            if (inst.placed) {
+                minst.position = inst.position;
+                extent = bounding_box(extent, Rect(inst.position, inst.position));
+            }
+        }
+        extents_.push_back(extent);
+
+        // Intra-block deferred pins; boundary pins go to the name queue.
+        for (InstId i = 0; i < bn.num_instances(); ++i) {
+            const int arity = function_arity(bn.type_of(i).function);
+            for (int p = 0; p < arity; ++p) {
+                const NetId f = bn.instance(i).fanin[static_cast<std::size_t>(p)];
+                if (f == kNoNet ||
+                    merged_->instance(first + i).fanin[static_cast<std::size_t>(p)] != kNoNet) {
+                    continue;
+                }
+                if (bmap[f] != kNoNet) {
+                    merged_->connect_input(first + i, p, bmap[f]);
+                } else {
+                    pending_.push_back(PendingPin{first + i, p, bn.net_name(f)});
+                }
+            }
+        }
+        for (const auto& [po_name, po_net] : bn.primary_outputs()) {
+            if (bmap[po_net] != kNoNet) {
+                join(po_name, bmap[po_net]);
+            } else {
+                po_aliases_.emplace_back(po_name, bn.net_name(po_net));
+            }
+        }
+    }
+
+    /// Resolves the name joins, places every block in its floorplan slot
+    /// and validates the result. Records the slots and the stitched-net
+    /// count in `out`.
+    std::shared_ptr<Netlist> finish(double floorplan_margin, HierFlowResult& out) {
+        // Resolve PO-to-PI aliases (chains converge in <= K rounds).
+        const std::size_t k = extents_.size();
+        for (std::size_t round = 0; round < k + 1 && !po_aliases_.empty(); ++round) {
+            std::vector<std::pair<std::string, std::string>> unresolved;
+            for (const auto& [po, src] : po_aliases_) {
+                const auto it = boundary_.find(src);
+                if (it != boundary_.end()) {
+                    join(po, it->second);
+                } else {
+                    unresolved.push_back({po, src});
+                }
+            }
+            if (unresolved.size() == po_aliases_.size()) break;
+            po_aliases_ = std::move(unresolved);
+        }
+        if (!shared_name_.empty()) {
+            throw std::runtime_error("hier: net name \"" + shared_name_ +
+                                     "\" is not unique while stitching " + top_.name());
+        }
+
+        for (const PendingPin& pp : pending_) {
+            const auto it = boundary_.find(pp.net);
+            if (it == boundary_.end()) {
+                throw std::runtime_error("hier: unresolved boundary net \"" + pp.net +
+                                         "\" while stitching " + top_.name());
+            }
+            merged_->connect_input(pp.inst, pp.pin, it->second);
+        }
+        for (const auto& [po_name, po_net] : top_.primary_outputs()) {
+            const auto it = boundary_.find(top_.net_name(po_net));
+            if (it == boundary_.end()) {
+                throw std::runtime_error("hier: top output \"" + po_name +
+                                         "\" lost its boundary net while stitching");
+            }
+            merged_->add_primary_output(po_name, it->second);
+        }
+
+        // Floorplan: blocks tiled on a ceil(sqrt(K)) grid of uniform slots
+        // sized by the largest block extent (positions are nm).
+        const auto cols = static_cast<std::int64_t>(
+            std::ceil(std::sqrt(static_cast<double>(k))));
+        std::int64_t max_w = 1, max_h = 1;
+        for (const Rect& e : extents_) {
+            max_w = std::max(max_w, e.width());
+            max_h = std::max(max_h, e.height());
+        }
+        const auto margin = static_cast<std::int64_t>(
+            floorplan_margin * static_cast<double>(std::max(max_w, max_h)));
+        const std::int64_t slot_w = max_w + std::max<std::int64_t>(margin, 1);
+        const std::int64_t slot_h = max_h + std::max<std::int64_t>(margin, 1);
+        first_inst_.push_back(static_cast<InstId>(merged_->num_instances()));
+        for (std::size_t b = 0; b < k; ++b) {
+            const Rect& e = extents_[b];
+            const auto sb = static_cast<std::int64_t>(b);
+            const Point slot{(sb % cols) * slot_w, (sb / cols) * slot_h};
+            out.blocks[b].placement = Rect{slot, {slot.x + e.width(), slot.y + e.height()}};
+            const Point offset{slot.x - (e.empty() ? 0 : e.lo.x),
+                               slot.y - (e.empty() ? 0 : e.lo.y)};
+            for (InstId i = first_inst_[b]; i < first_inst_[b + 1]; ++i) {
+                Instance& inst = merged_->instance(i);
+                if (inst.placed) {
+                    inst.position = Point{inst.position.x + offset.x,
+                                          inst.position.y + offset.y};
+                }
+            }
+        }
+
+        const auto problems = merged_->validate();
+        if (!problems.empty()) {
+            throw std::runtime_error("hier: stitched netlist invalid: " + problems.front());
+        }
+        out.stitched_nets = boundary_.size() - top_.primary_inputs().size();
+        return merged_;
+    }
+
+  private:
+    struct PendingPin {
+        InstId inst;
+        int pin;
+        std::string net;
+    };
+
+    // The join is by printable name, so a name two nets share would
+    // silently merge them; the first such name is kept for finish().
+    void join(const std::string& name, NetId net) {
+        if (!boundary_.emplace(name, net).second && shared_name_.empty()) {
+            shared_name_ = name;
+        }
+    }
+
+    const Netlist& top_;
+    std::shared_ptr<Netlist> merged_;
+    std::unordered_map<std::string, NetId> boundary_;
+    std::vector<PendingPin> pending_;
+    // A block PO can alias a block PI directly (synthesis collapsed the
+    // cone to a wire); those resolve after all blocks are in.
+    std::vector<std::pair<std::string, std::string>> po_aliases_;
+    std::vector<InstId> first_inst_;  ///< first merged instance id per block
+    std::vector<Rect> extents_;       ///< block-local placement extent per block
+    std::string shared_name_;         ///< first name two nets share
+};
 
 }  // namespace
 
@@ -217,185 +399,56 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     const HierPartition part = partition_min_cut(
         nl, k, params.refine_passes, params.balance_slack);
     out.cut_nets = part.cut_nets;
+    std::vector<BlockSlice> slices = slice_blocks(nl, part);
 
-    // Per-block implementation through the standard batch path. run_batch
-    // results are byte-identical for any worker count, and partitioning /
-    // stitching are serial, so the whole hier flow inherits the contract.
-    std::vector<FlowJob> jobs;
-    jobs.reserve(static_cast<std::size_t>(k));
-    for (int b = 0; b < k; ++b) {
-        FlowJob job{extract_block(nl, part.block_of, b), node, params.block_flow};
-        // Place/route only: the flat input is already synthesized, and a
-        // purely combinational block would otherwise be re-synthesized
-        // (optimize/map restructure logic), losing instances the stitcher
-        // must carry back into the merged design verbatim.
-        job.skip_stages = {"optimize", "map"};
-        jobs.push_back(std::move(job));
-    }
-    FlowEngine engine;
-    std::vector<FlowResult> block_results =
-        engine.run_batch(jobs, std::max(1, params.workers));
+    Stitch stitch(nl);
 
-    for (const FlowResult& r : block_results) {
-        if (r.failed()) {
-            out.top.error = "hier: block flow failed: " + r.error;
-            out.blocks.resize(block_results.size());
-            for (std::size_t b = 0; b < block_results.size(); ++b) {
-                out.blocks[b].flow = block_results[b];
-            }
-            return out;
-        }
-    }
-
-    // Floorplan: blocks tiled on a ceil(sqrt(K)) grid of uniform slots
-    // sized by the largest block extent (positions are nm).
-    const int cols = static_cast<int>(
-        std::ceil(std::sqrt(static_cast<double>(k))));
-    std::int64_t max_w = 1, max_h = 1;
-    std::vector<Rect> extents(static_cast<std::size_t>(k));
-    for (int b = 0; b < k; ++b) {
-        const Netlist& bn = *block_results[static_cast<std::size_t>(b)].mapped;
-        Rect e;
-        for (InstId i = 0; i < bn.num_instances(); ++i) {
-            const Instance& inst = bn.instance(i);
-            if (inst.placed) e = bounding_box(e, Rect(inst.position, inst.position));
-        }
-        extents[static_cast<std::size_t>(b)] = e;
-        max_w = std::max(max_w, e.width());
-        max_h = std::max(max_h, e.height());
-    }
-    const auto margin = static_cast<std::int64_t>(
-        params.floorplan_margin * static_cast<double>(std::max(max_w, max_h)));
-    const std::int64_t slot_w = max_w + std::max<std::int64_t>(margin, 1);
-    const std::int64_t slot_h = max_h + std::max<std::int64_t>(margin, 1);
-
-    // Stitch: rebuild the top netlist from the implemented blocks, joining
-    // boundary nets by name and offsetting block placements into their
-    // floorplan slots.
-    auto merged = std::make_shared<Netlist>(nl.library_ptr(), nl.name());
-    std::unordered_map<std::string, NetId> boundary;
-    // The join is by printable name, so a name two nets share would
-    // silently merge them.
-    const auto join = [&](const std::string& name, NetId net) {
-        if (!boundary.emplace(name, net).second) {
-            throw std::runtime_error("hier: net name \"" + name +
-                                     "\" is not unique while stitching " + nl.name());
-        }
-    };
-    for (const NetId pi : nl.primary_inputs()) {
-        const std::string name = nl.net_name(pi);
-        join(name, merged->add_primary_input(name));
-    }
-
-    struct PendingPin {
-        InstId inst;
-        int pin;
-        std::string net;
-    };
-    std::vector<PendingPin> pending;
-    // A block PO can alias a block PI directly (synthesis collapsed the
-    // cone to a wire); those resolve after all blocks are in.
-    std::vector<std::pair<std::string, std::string>> po_aliases;
-
+    // The block stream. Each block netlist is built on this thread (the
+    // flat design's lazy sinks() cache must not be warmed from several
+    // threads) just before it is queued, stitched in block order once it
+    // finishes, and freed right after: at most workers + 1 blocks are
+    // alive at any time. Block results are byte-identical for any worker
+    // count, and partition, extraction and stitch are serial, so the whole
+    // hier flow inherits the contract.
+    const int workers = std::max(1, params.workers);
     out.blocks.resize(static_cast<std::size_t>(k));
-    for (int b = 0; b < k; ++b) {
-        const Netlist& bn = *block_results[static_cast<std::size_t>(b)].mapped;
-        const Rect& e = extents[static_cast<std::size_t>(b)];
-        const Point offset{(b % cols) * slot_w - (e.empty() ? 0 : e.lo.x),
-                           (b / cols) * slot_h - (e.empty() ? 0 : e.lo.y)};
-        out.blocks[static_cast<std::size_t>(b)].flow =
-            block_results[static_cast<std::size_t>(b)];
-        out.blocks[static_cast<std::size_t>(b)].placement =
-            Rect{{(b % cols) * slot_w, (b / cols) * slot_h},
-                 {(b % cols) * slot_w + e.width(), (b / cols) * slot_h + e.height()}};
+    bool block_failed = false;
+    {
+        FlowEngine engine;
+        FlowScheduler scheduler(engine, workers);
+        std::vector<NetId> net_map(nl.num_nets(), kNoNet);
+        std::deque<JobHandle> in_flight;  // queued or running, in block order
+        int next = 0;
+        for (int b = 0; b < k; ++b) {
+            for (; next < k && in_flight.size() <= static_cast<std::size_t>(workers); ++next) {
+                BlockSlice& slice = slices[static_cast<std::size_t>(next)];
+                FlowJob job{build_block(nl, slice, next, net_map), node, params.block_flow};
+                slice = {};
+                // Place/route only: the flat input is already synthesized,
+                // and a purely combinational block would otherwise be
+                // re-synthesized (optimize/map restructure logic), losing
+                // instances the stitcher must carry back into the merged
+                // design verbatim.
+                job.skip_stages = {"optimize", "map"};
+                in_flight.push_back(scheduler.submit(std::move(job)));
+            }
+            FlowResult& r = out.blocks[static_cast<std::size_t>(b)].flow;
+            r = in_flight.front().wait();
+            in_flight.pop_front();
+            if (r.failed()) {
+                if (!block_failed) out.top.error = "hier: block flow failed: " + r.error;
+                block_failed = true;
+            } else if (!block_failed) {
+                stitch.add_block(*r.mapped);
+            }
+            r.mapped.reset();
+        }
+    }
+    // A failed block reports through top.error without throwing, and takes
+    // precedence over any stitch error (finish() raises those).
+    if (block_failed) return out;
 
-        std::vector<NetId> bmap(bn.num_nets(), kNoNet);
-        std::vector<std::pair<InstId, InstId>> created;  // (merged, block)
-        for (InstId i = 0; i < bn.num_instances(); ++i) {
-            const Instance& inst = bn.instance(i);
-            const int arity = function_arity(bn.type_of(i).function);
-            std::vector<NetId> fanins(static_cast<std::size_t>(arity), kNoNet);
-            for (int p = 0; p < arity; ++p) {
-                const NetId f = inst.fanin[static_cast<std::size_t>(p)];
-                if (f != kNoNet && bmap[f] != kNoNet) {
-                    fanins[static_cast<std::size_t>(p)] = bmap[f];
-                }
-            }
-            const InstId mi =
-                merged->add_instance(bn.instance_name(i), inst.type, fanins);
-            bmap[inst.output] = merged->instance(mi).output;
-            Instance& minst = merged->instance(mi);
-            minst.placed = inst.placed;
-            if (inst.placed) {
-                minst.position = Point{inst.position.x + offset.x,
-                                       inst.position.y + offset.y};
-            }
-            created.emplace_back(mi, i);
-        }
-        // Intra-block deferred pins; boundary pins go to the name queue.
-        for (const auto& [mi, bi] : created) {
-            const Instance& binst = bn.instance(bi);
-            const int arity = function_arity(bn.type_of(bi).function);
-            for (int p = 0; p < arity; ++p) {
-                const NetId f = binst.fanin[static_cast<std::size_t>(p)];
-                if (f == kNoNet) continue;
-                if (merged->instance(mi).fanin[static_cast<std::size_t>(p)] != kNoNet) {
-                    continue;
-                }
-                if (bmap[f] != kNoNet) {
-                    merged->connect_input(mi, p, bmap[f]);
-                } else {
-                    pending.push_back(
-                        PendingPin{mi, p, std::string(bn.net_name(f))});
-                }
-            }
-        }
-        for (const auto& [po_name, po_net] : bn.primary_outputs()) {
-            if (bmap[po_net] != kNoNet) {
-                join(po_name, bmap[po_net]);
-            } else {
-                po_aliases.emplace_back(po_name, std::string(bn.net_name(po_net)));
-            }
-        }
-    }
-
-    // Resolve PO-to-PI aliases (chains converge in <= K rounds).
-    for (int round = 0; round < k + 1 && !po_aliases.empty(); ++round) {
-        std::vector<std::pair<std::string, std::string>> unresolved;
-        for (const auto& [po, src] : po_aliases) {
-            const auto it = boundary.find(src);
-            if (it != boundary.end()) {
-                join(po, it->second);
-            } else {
-                unresolved.push_back({po, src});
-            }
-        }
-        if (unresolved.size() == po_aliases.size()) break;
-        po_aliases = std::move(unresolved);
-    }
-
-    for (const PendingPin& pp : pending) {
-        const auto it = boundary.find(pp.net);
-        if (it == boundary.end()) {
-            throw std::runtime_error("hier: unresolved boundary net \"" + pp.net +
-                                     "\" while stitching " + nl.name());
-        }
-        merged->connect_input(pp.inst, pp.pin, it->second);
-    }
-    for (const auto& [po_name, po_net] : nl.primary_outputs()) {
-        const auto it = boundary.find(std::string(nl.net_name(po_net)));
-        if (it == boundary.end()) {
-            throw std::runtime_error("hier: top output \"" + po_name +
-                                     "\" lost its boundary net while stitching");
-        }
-        merged->add_primary_output(po_name, it->second);
-    }
-    out.stitched_nets = boundary.size() - nl.primary_inputs().size();
-
-    const auto problems = merged->validate();
-    if (!problems.empty()) {
-        throw std::runtime_error("hier: stitched netlist invalid: " + problems.front());
-    }
+    std::shared_ptr<Netlist> merged = stitch.finish(params.floorplan_margin, out);
 
     // Top-level STA over the stitched, placed result.
     StaOptions sopts;
@@ -409,8 +462,8 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     out.top.critical_delay_ps = tr.critical_delay_ps;
     out.top.wns_ps = tr.wns_ps;
     // The merged design is legal only if every block came back legal.
-    out.top.legal = std::all_of(block_results.begin(), block_results.end(),
-                                [](const FlowResult& r) { return r.legal; });
+    out.top.legal = std::all_of(out.blocks.begin(), out.blocks.end(),
+                                [](const HierBlockResult& b) { return b.flow.legal; });
     double hpwl_nm = 0;
     for (NetId n = 0; n < merged->num_nets(); ++n) {
         Rect box;
@@ -426,8 +479,8 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
         if (!box.empty()) hpwl_nm += static_cast<double>(box.width() + box.height());
     }
     out.top.hpwl_um = hpwl_nm / 1000.0;
-    for (const FlowResult& r : block_results) {
-        out.top.route_wirelength += r.route_wirelength;
+    for (const HierBlockResult& b : out.blocks) {
+        out.top.route_wirelength += b.flow.route_wirelength;
     }
     out.top.runtime_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)

@@ -3,22 +3,31 @@
 /// Partition-driven hierarchical flow: the megascale path (docs/MEGASCALE.md)
 /// for designs too large to push through one flat place/route. A flat
 /// netlist is min-cut partitioned into K blocks, each block is implemented
-/// independently through the existing staged flow (FlowEngine::run_batch,
+/// independently through the existing staged flow (a FlowScheduler job,
 /// which carries the deterministic-workers contract: results are
 /// byte-identical for any worker count), the implemented blocks are
 /// stitched back together — boundary nets reconnected by name, block
 /// placements offset into a floorplan grid — and top-level STA runs on the
 /// merged result.
 ///
+/// The block phase is a bounded stream: one pass over the flat design
+/// buckets instances and boundary nets by block; each block netlist is
+/// built on the calling thread just before it is queued, stitched in block
+/// order once it finishes, and freed right after. At most
+/// HierParams::workers + 1 block netlists are alive at any time.
+///
 /// Contract details:
-///  - Partitioning is serial and depends only on the netlist and
-///    HierParams, never on worker count.
+///  - Partitioning, extraction and the stitch are serial and depend only
+///    on the netlist and HierParams, never on worker count.
 ///  - Block interfaces are name-carried: a cut net becomes a primary output
 ///    of its driving block and a primary input of every reading block,
 ///    under the flat design's net name. Synthesis inside a block may
 ///    restructure freely — the flow preserves PI/PO names — so the stitch
 ///    is a pure name join.
 ///  - The merged netlist is validated; any dangling boundary is an error.
+///  - A failed block reports through `top.error` without throwing, even
+///    when stitching an earlier block would have thrown; `merged` is then
+///    null.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,7 +49,8 @@ struct HierParams {
     /// Each block job gets a copy with the same seed — determinism comes
     /// from the per-job seeding, not from job isolation tricks.
     FlowParams block_flow;
-    /// Worker threads for the block batch (FlowEngine::run_batch).
+    /// Worker threads that run the block flows. Also bounds memory: at
+    /// most workers + 1 blocks are extracted and not yet stitched.
     int workers = 1;
     /// Spacing between adjacent block placements in the merged floorplan,
     /// as a fraction of the widest block dimension.
@@ -66,7 +76,10 @@ HierPartition partition_min_cut(const Netlist& nl, int num_blocks,
 
 /// One implemented block plus where the stitcher put it.
 struct HierBlockResult {
-    FlowResult flow;     ///< per-block QoR (place/route/STA of the block)
+    /// Per-block QoR (place/route/STA of the block). `flow.mapped` is
+    /// null: each block netlist is freed once it is stitched into
+    /// HierFlowResult::merged.
+    FlowResult flow;
     Rect placement;      ///< region assigned in the merged floorplan (nm)
 };
 
@@ -80,7 +93,7 @@ struct HierFlowResult {
     std::size_t cut_nets = 0;           ///< partition cut size
     std::size_t stitched_nets = 0;      ///< boundary nets joined by name
     /// The stitched, placed top netlist (shared so callers can run further
-    /// analyses without a copy).
+    /// analyses without a copy). Null when a block failed.
     std::shared_ptr<Netlist> merged;
 };
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "janus/flow/flow_engine.hpp"
 #include "janus/logic/aig_netlist.hpp"
@@ -146,7 +147,7 @@ std::vector<ScenarioResult> run_scenarios(const std::vector<ScenarioCell>& cells
     }
 
     FlowEngine engine;
-    const std::vector<FlowResult> results = engine.run_batch(jobs, workers);
+    const std::vector<FlowResult> results = engine.run_batch(std::move(jobs), workers);
 
     for (std::size_t j = 0; j < results.size(); ++j) {
         ScenarioResult& r = out[job_slot[j]];

@@ -85,10 +85,11 @@ class FlowScheduler {
 
     std::size_t workers() const;
 
-    /// Admits one flow job. The job's netlist is copied in (the caller's
-    /// object is untouched); the full pipeline runs when a pool worker
-    /// picks the job, and the implemented netlist lands in
-    /// FlowResult::mapped without an extra copy.
+    /// Admits one flow job. The job is taken by value: a caller that
+    /// moves it in hands its netlist over without a copy, one that passes
+    /// an lvalue keeps its object and pays one copy. The full pipeline
+    /// runs when a pool worker picks the job, and the implemented netlist
+    /// lands in FlowResult::mapped without an extra copy.
     JobHandle submit(FlowJob job, JobPriority priority = JobPriority::Batch);
 
     /// Admits a generic unit of work under the same priority queue — the

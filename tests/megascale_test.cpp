@@ -3,8 +3,10 @@
 /// fanin scan across randomized mutations, and open-addressed strash
 /// unique-table equivalence (same hit count, same literals) against a
 /// reference std::unordered_map. Also the hierarchical flow's top-level
-/// record: legality, wall-clock runtime and pinned stitch geometry, and
-/// the stitch's refusal to join two nets that share a name.
+/// record: legality, wall-clock runtime, pinned stitch geometry, the merged
+/// design pinned by hash at every worker count, failed blocks reported
+/// through the top record, and the stitch's refusal to join two nets that
+/// share a name.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -25,6 +28,7 @@
 #include "janus/netlist/io.hpp"
 #include "janus/netlist/netlist.hpp"
 #include "janus/netlist/technology.hpp"
+#include "janus/util/name_table.hpp"
 #include "janus/util/rng.hpp"
 
 namespace janus {
@@ -268,12 +272,13 @@ TEST(MegascaleStrash, MemoryBytesTracksTableGrowth) {
 
 // ------------------------------------------------------ hierarchical flow
 
-/// Three-block hier run of a small pipelined mesh at `utilization`.
-HierFlowResult run_small_hier(double utilization) {
+/// Hier run of a small pipelined mesh at `utilization`, split into
+/// `blocks` blocks on `workers` block workers.
+HierFlowResult run_small_hier(double utilization, int blocks = 3, int workers = 2) {
     const Netlist nl = generate_mesh(lib28(), 1500, 5, 2);
     HierParams hp;
-    hp.num_blocks = 3;
-    hp.workers = 2;
+    hp.num_blocks = blocks;
+    hp.workers = workers;
     hp.block_flow.seed = 3;
     hp.block_flow.utilization = utilization;
     return run_hier_flow(nl, *find_node("28nm"), hp);
@@ -314,6 +319,52 @@ TEST(MegascaleHier, TopHpwlAndBlockPlacementsArePinned) {
     for (std::size_t b = 0; b < r.blocks.size(); ++b) {
         EXPECT_TRUE(r.blocks[b].flow.legal) << "block " << b;
         EXPECT_EQ(r.blocks[b].placement, expected[b]) << "block " << b;
+    }
+}
+
+TEST(MegascaleHier, MergedDesignIsPinnedAcrossWorkerCounts) {
+    // FNV-1a-64 of the merged netlist + placement text. A change that
+    // reorders merged ids, renames a net or moves an instance changes the
+    // hash at every worker count, which a worker-vs-worker comparison
+    // cannot see.
+    const std::pair<int, std::uint64_t> pinned[] = {
+        {3, 0x974fa90baf163291ull},
+        {8, 0xf902b779b91e6593ull},
+    };
+    for (const auto& [blocks, hash] : pinned) {
+        for (const int workers : {1, 2, 4}) {
+            SCOPED_TRACE(std::to_string(blocks) + " blocks, " +
+                         std::to_string(workers) + " workers");
+            const HierFlowResult r = run_small_hier(0.65, blocks, workers);
+            ASSERT_FALSE(r.top.failed()) << r.top.error;
+            ASSERT_NE(r.merged, nullptr);
+            std::ostringstream text;
+            write_netlist(text, *r.merged);
+            write_placement(text, *r.merged);
+            EXPECT_EQ(hash_name(text.str()), hash);
+            ASSERT_EQ(r.blocks.size(), static_cast<std::size_t>(blocks));
+            for (const HierBlockResult& b : r.blocks) {
+                EXPECT_EQ(b.flow.mapped, nullptr);
+            }
+        }
+    }
+}
+
+TEST(MegascaleHier, FailedBlocksReportThroughTopError) {
+    // Every block job rejects its params; the flow reports the first
+    // failure instead of throwing, and stitches nothing.
+    for (const int workers : {1, 4}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        HierFlowResult r;
+        ASSERT_NO_THROW(r = run_small_hier(1.5, 3, workers));
+        EXPECT_EQ(r.top.error,
+                  "hier: block flow failed: FlowParams: utilization must be "
+                  "in (0, 1], got 1.5");
+        ASSERT_EQ(r.blocks.size(), 3u);
+        for (const HierBlockResult& b : r.blocks) {
+            EXPECT_TRUE(b.flow.failed());
+        }
+        EXPECT_EQ(r.merged, nullptr);
     }
 }
 
@@ -369,6 +420,16 @@ TEST(MegascaleHier, StitchRejectsARepeatedInputName) {
                   "hier: net name \"a0\" is not unique while stitching adder8")
             << blocks << " blocks";
     }
+    // A failed block still wins: it reports through top.error and the
+    // shared name is never raised.
+    HierParams hp;
+    hp.num_blocks = 2;
+    hp.block_flow.utilization = 1.5;
+    HierFlowResult r;
+    ASSERT_NO_THROW(r = run_hier_flow(dup, *find_node("28nm"), hp));
+    EXPECT_EQ(r.top.error,
+              "hier: block flow failed: FlowParams: utilization must be in "
+              "(0, 1], got 1.5");
 }
 
 TEST(MegascaleHier, StitchRejectsAnInputNamedLikeADerivedNet) {
