@@ -9,6 +9,12 @@
 ///    design, with the bit-identity contract checked against serial;
 ///  - end-to-end: size_for_timing (incremental loop) versus the historical
 ///    full-STA-per-pass loop at the 60k rung, with QoR compared bitwise.
+///
+/// `--smoke` runs a scaled-down identity check as a ctest unit: full
+/// analysis at 1/2/4/8 workers on a design with a level wider than
+/// 2 x TimingGraph::kParallelGrain (asserted, so the multi-slot path runs),
+/// and resize + update() answers against a fresh analysis (nonzero exit on
+/// a mismatch; no BENCH file update).
 
 #include <chrono>
 #include <cstdio>
@@ -31,6 +37,82 @@ namespace {
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
     return a.size() == b.size() &&
            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Arrivals, requireds and slacks all bit-identical.
+bool same_timing(const TimingGraph& a, const TimingGraph& b) {
+    return bits_equal(a.arrivals(), b.arrivals()) &&
+           bits_equal(a.requireds(), b.requireds()) &&
+           bits_equal(a.slacks(), b.slacks());
+}
+
+/// Wide shallow random logic: the workload whose levels actually split
+/// across the team (mesh levels are only ~sqrt(n) wide).
+Netlist wide_design(const std::shared_ptr<const CellLibrary>& lib,
+                    std::size_t gates, std::size_t flops) {
+    GeneratorConfig cfg;
+    cfg.num_gates = gates;
+    cfg.num_inputs = 512;
+    cfg.num_flops = flops;
+    cfg.locality = 0.0;
+    cfg.seed = 15;
+    return generate_random(lib, cfg);
+}
+
+int run_smoke(const std::shared_ptr<const CellLibrary>& lib) {
+    std::printf("bench_sta_incremental --smoke\n");
+    Netlist nl = wide_design(lib, 20000, 100);
+    TimingGraph serial(nl);
+    serial.analyze();
+    const std::size_t widest = serial.max_level_width();
+    if (widest <= 2 * TimingGraph::kParallelGrain) {
+        std::printf("FAIL: widest level has %zu instances, not more than "
+                    "2 x kParallelGrain = %zu\n",
+                    widest, 2 * TimingGraph::kParallelGrain);
+        return 1;
+    }
+    bool ok = true;
+    for (const int workers : {2, 4, 8}) {
+        StaOptions opts;
+        opts.sta_workers = workers;
+        TimingGraph tg(nl, opts);
+        tg.analyze();
+        if (!same_timing(serial, tg)) {
+            std::printf("FAIL: full analysis differs at %d workers\n", workers);
+            ok = false;
+        }
+    }
+
+    // Resizes accumulate; after each update() the graph must answer exactly
+    // what a fresh analysis of the resized netlist does.
+    StaOptions opts;
+    opts.sta_workers = 4;
+    TimingGraph tg(nl, opts);
+    tg.analyze();
+    Rng rng(42);
+    int updates = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        const InstId i = static_cast<InstId>(rng.pick_index(nl.num_instances()));
+        if (is_sequential(nl.type_of(i).function)) continue;
+        const auto variants = nl.library().variants(nl.type_of(i).function);
+        const std::size_t pick = variants[rng.pick_index(variants.size())];
+        if (pick == nl.instance(i).type) continue;
+        nl.instance(i).type = pick;
+        tg.resize(i);
+        tg.update();
+        ++updates;
+        TimingGraph fresh(nl);
+        fresh.analyze();
+        if (!same_timing(fresh, tg)) {
+            std::printf("FAIL: update %d differs from a fresh analysis\n", updates);
+            ok = false;
+        }
+    }
+    std::printf("%s: %zu instances, %zu levels, widest %zu; 1/2/4/8 workers "
+                "and %d resize updates checked\n",
+                ok ? "PASS" : "FAIL", nl.num_instances(), serial.num_levels(),
+                widest, updates);
+    return ok ? 0 : 1;
 }
 
 // The pre-TimingGraph sizing loop: one full STA per pass plus one for the
@@ -78,11 +160,13 @@ SizingResult full_sta_sizing(Netlist& nl, const SizingOptions& opts) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    const auto lib = bench::make_lib();
+    if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return run_smoke(lib);
+
     bench::banner("bench_sta_incremental", "timing engine",
                   "incremental + parallel STA makes closure loops O(cone), "
                   "not O(design)");
-    const auto lib = bench::make_lib();
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("hardware_concurrency: %u\n\n", hw);
 
@@ -94,7 +178,7 @@ int main() {
     for (const std::size_t gates : {6000u, 20000u, 60000u}) {
         Netlist nl = generate_mesh(lib, gates, 15, 2);
         TimingGraph tg(nl);
-        tg.analyze(1);
+        tg.analyze();
         // A full STA evaluates every combinational instance once per sweep;
         // forward + backward makes the per-query cost 2 x comb.
         const std::size_t comb = nl.topological_order().size();
@@ -130,15 +214,7 @@ int main() {
     }
 
     // ---- parallel: full-analysis sweeps on a wide design -----------------
-    // Mesh levels are narrow (~sqrt(n)); wide shallow random logic is the
-    // workload whose levels actually split across the pool.
-    GeneratorConfig wide;
-    wide.num_gates = 60000;
-    wide.num_inputs = 512;
-    wide.num_flops = 500;
-    wide.locality = 0.0;
-    wide.seed = 15;
-    const Netlist wnl = generate_random(lib, wide);
+    const Netlist wnl = wide_design(lib, 60000, 500);
     std::printf("\nwide design: %zu instances\n", wnl.num_instances());
     std::printf("%8s %12s %8s %10s\n", "workers", "analyze_ms", "speedup",
                 "identical");
@@ -146,22 +222,22 @@ int main() {
     double serial_ms = 0, four_ms = 0;
     bool all_identical = true;
     for (const int workers : {1, 2, 4, 8}) {
-        TimingGraph tg(wnl);
+        StaOptions opts;
+        opts.sta_workers = workers;
+        TimingGraph tg(wnl, opts);
         // Best of 3 to de-noise the short sweeps.
         double best = 1e30;
         for (int rep = 0; rep < 3; ++rep) {
             const auto t0 = std::chrono::steady_clock::now();
-            tg.analyze(workers);
+            tg.analyze();
             best = std::min(best, ms_since(t0));
         }
         bool same = true;
         if (workers == 1) {
             serial_ms = best;
-            serial.analyze(1);
+            serial.analyze();
         } else {
-            same = bits_equal(serial.arrivals(), tg.arrivals()) &&
-                   bits_equal(serial.requireds(), tg.requireds()) &&
-                   bits_equal(serial.slacks(), tg.slacks());
+            same = same_timing(serial, tg);
             all_identical &= same;
         }
         if (workers == 4) four_ms = best;

@@ -230,7 +230,7 @@ FlowEngine::FlowEngine() {
     add("sta", nullptr, [](FlowContext& ctx) {
         const StaOptions sopts = make_sta_options(ctx);
         TimingGraph tg(ctx.netlist, sopts);
-        tg.analyze(sopts.sta_workers);
+        tg.analyze();
         const TimingReport tr = tg.report();
         ctx.result.critical_delay_ps = tr.critical_delay_ps;
         ctx.result.wns_ps = tr.wns_ps;

@@ -273,12 +273,14 @@ class Stitch {
                 }
             }
         }
+        // Block jobs skip optimize and map, so every block PO is still
+        // the output of the block instance build_block gave it.
         for (const auto& [po_name, po_net] : bn.primary_outputs()) {
-            if (bmap[po_net] != kNoNet) {
-                join(po_name, bmap[po_net]);
-            } else {
-                po_aliases_.emplace_back(po_name, bn.net_name(po_net));
+            if (bmap[po_net] == kNoNet) {
+                throw std::logic_error("hier: block output \"" + po_name +
+                                       "\" has no driving block instance");
             }
+            join(po_name, bmap[po_net]);
         }
     }
 
@@ -286,21 +288,6 @@ class Stitch {
     /// and validates the result. Records the slots and the stitched-net
     /// count in `out`.
     std::shared_ptr<Netlist> finish(double floorplan_margin, HierFlowResult& out) {
-        // Resolve PO-to-PI aliases (chains converge in <= K rounds).
-        const std::size_t k = extents_.size();
-        for (std::size_t round = 0; round < k + 1 && !po_aliases_.empty(); ++round) {
-            std::vector<std::pair<std::string, std::string>> unresolved;
-            for (const auto& [po, src] : po_aliases_) {
-                const auto it = boundary_.find(src);
-                if (it != boundary_.end()) {
-                    join(po, it->second);
-                } else {
-                    unresolved.push_back({po, src});
-                }
-            }
-            if (unresolved.size() == po_aliases_.size()) break;
-            po_aliases_ = std::move(unresolved);
-        }
         if (!shared_name_.empty()) {
             throw std::runtime_error("hier: net name \"" + shared_name_ +
                                      "\" is not unique while stitching " + top_.name());
@@ -325,6 +312,7 @@ class Stitch {
 
         // Floorplan: blocks tiled on a ceil(sqrt(K)) grid of uniform slots
         // sized by the largest block extent (positions are nm).
+        const std::size_t k = extents_.size();
         const auto cols = static_cast<std::int64_t>(
             std::ceil(std::sqrt(static_cast<double>(k))));
         std::int64_t max_w = 1, max_h = 1;
@@ -380,9 +368,6 @@ class Stitch {
     std::shared_ptr<Netlist> merged_;
     std::unordered_map<std::string, NetId> boundary_;
     std::vector<PendingPin> pending_;
-    // A block PO can alias a block PI directly (synthesis collapsed the
-    // cone to a wire); those resolve after all blocks are in.
-    std::vector<std::pair<std::string, std::string>> po_aliases_;
     std::vector<InstId> first_inst_;  ///< first merged instance id per block
     std::vector<Rect> extents_;       ///< block-local placement extent per block
     std::string shared_name_;         ///< first name two nets share
@@ -393,6 +378,13 @@ class Stitch {
 HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
                              const HierParams& params) {
     const auto t0 = std::chrono::steady_clock::now();
+    // Scan insertion would give each sequential block scan ports that have
+    // no net in the flat design, so the stitch could never join them.
+    if (params.block_flow.enabled(FlowStageMask::Scan)) {
+        throw std::invalid_argument(
+            "HierParams: block_flow.stages must not include Scan; scan "
+            "chains cannot be stitched across blocks");
+    }
     HierFlowResult out;
     const int k = std::max(1, params.num_blocks);
 

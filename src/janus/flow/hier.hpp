@@ -21,9 +21,9 @@
 ///    on the netlist and HierParams, never on worker count.
 ///  - Block interfaces are name-carried: a cut net becomes a primary output
 ///    of its driving block and a primary input of every reading block,
-///    under the flat design's net name. Synthesis inside a block may
-///    restructure freely — the flow preserves PI/PO names — so the stitch
-///    is a pure name join.
+///    under the flat design's net name. Block flows skip optimize and map,
+///    so each block PO stays the output of the instance that drives it in
+///    the flat design, and the stitch is a pure name join.
 ///  - The merged netlist is validated; any dangling boundary is an error.
 ///  - A failed block reports through `top.error` without throwing, even
 ///    when stitching an earlier block would have thrown; `merged` is then
@@ -98,7 +98,9 @@ struct HierFlowResult {
 };
 
 /// Runs the partition → per-block flow → stitch → top STA pipeline.
-/// Byte-identical for any HierParams::workers value.
+/// Byte-identical for any HierParams::workers value. Throws
+/// std::invalid_argument, before partitioning, when `block_flow.stages`
+/// includes Scan: scan ports added inside a block have no flat net to join.
 HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
                              const HierParams& params);
 

@@ -49,7 +49,7 @@ void tune_waves(const std::vector<TunerArm>& arms,
                 const TunerOptions& opts, TunerResult& res) {
     const int wave =
         std::max(1, opts.wave > 0 ? opts.wave : opts.workers);
-    ThreadPool pool(opts.workers);
+    WorkerTeam team(opts.workers);
     for (int start = 0; start < opts.runs; start += wave) {
         const int count = std::min(wave, opts.runs - start);
         // Decide every arm of the wave up front. Warm-up pulls are tracked
@@ -85,7 +85,7 @@ void tune_waves(const std::vector<TunerArm>& arms,
             chosen[static_cast<std::size_t>(k)] = arm;
         }
         std::vector<double> costs(static_cast<std::size_t>(count));
-        pool.for_each_index(costs.size(), [&](std::size_t k) {
+        team.for_each(costs.size(), [&](std::size_t k, std::size_t) {
             costs[k] = evaluate(arms[chosen[k]].params,
                                 start + static_cast<int>(k));
         });

@@ -4,7 +4,7 @@
 /// across flow runs which parameter configuration gives consistent QoR,
 /// instead of leaving the tuning to "the user figuring up how the
 /// algorithms work" (E6). Arm pulls can be evaluated in parallel on a
-/// thread pool: decisions are made in waves with run-indexed RNG, so a
+/// WorkerTeam: decisions are made in waves with run-indexed RNG, so a
 /// 4-worker sweep is bit-identical to the same sweep on one worker.
 
 #include <cstdint>

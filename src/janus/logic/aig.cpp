@@ -149,6 +149,18 @@ std::vector<int> Aig::levels() const {
     return lvl;
 }
 
+std::vector<std::vector<std::uint32_t>> Aig::and_levels() const {
+    const std::vector<int> lvl = levels();
+    std::vector<std::vector<std::uint32_t>> out;
+    for (std::uint32_t n = 1; n < fanin0_.size(); ++n) {
+        if (!is_and(n)) continue;
+        const auto l = static_cast<std::size_t>(lvl[n] - 1);
+        if (l >= out.size()) out.resize(l + 1);
+        out[l].push_back(n);
+    }
+    return out;
+}
+
 int Aig::depth() const {
     const auto lvl = levels();
     int d = 0;

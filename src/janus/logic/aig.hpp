@@ -68,6 +68,11 @@ class Aig {
     std::vector<int> levels() const;
     /// Depth of the deepest output cone.
     int depth() const;
+    /// AND nodes grouped by level, ascending id within a level: entry l
+    /// holds the level l + 1 nodes (the constant and inputs are level 0).
+    /// Every fanin of a node sits in an earlier entry, so one entry's nodes
+    /// can be processed in any order once the earlier entries are done.
+    std::vector<std::vector<std::uint32_t>> and_levels() const;
 
     /// Fanout count of every node (output references included).
     std::vector<std::uint32_t> fanout_counts() const;

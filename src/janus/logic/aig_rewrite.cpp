@@ -145,47 +145,31 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
     }
     const SopCache::Stats cache_before = cache->stats();
 
-    // Group AND nodes by topological level. Evaluation (truth table +
-    // minimized covers + estimate) is pure against the frozen input AIG,
-    // so one level's nodes evaluate concurrently; construction into the
-    // output AIG and the best-candidate commit then run serially in node
-    // order, which pins the result for any worker count.
-    const std::vector<int> levels = aig.levels();
-    int max_level = 0;
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-        if (aig.is_and(n)) max_level = std::max(max_level, levels[n]);
-    }
-    std::vector<std::vector<std::uint32_t>> by_level(
-        static_cast<std::size_t>(max_level) + 1);
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-        if (aig.is_and(n)) {
-            by_level[static_cast<std::size_t>(levels[n])].push_back(n);
-        }
-    }
-
     Aig out;
     std::vector<AigLit> remap(aig.num_nodes(), 0);
     for (std::size_t i = 0; i < aig.num_inputs(); ++i) {
         remap[aig_node(aig.input(i))] = out.add_input(aig.input_name(i));
     }
 
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+    WorkerTeam team(workers);
     std::vector<CutConeEvaluator> evaluators;
-    evaluators.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) evaluators.emplace_back(aig);
+    evaluators.reserve(team.slots());
+    for (std::size_t s = 0; s < team.slots(); ++s) evaluators.emplace_back(aig);
 
     std::uint64_t cuts_evaluated = 0;
     int replacements = 0;
     std::vector<std::vector<CutEval>> level_evals;
     std::vector<AigLit> leaves;
 
-    for (const auto& nodes : by_level) {
-        if (nodes.empty()) continue;
-
+    // Evaluation (truth table + minimized covers + estimate) is pure
+    // against the frozen input AIG, so one level's nodes evaluate
+    // concurrently; construction into the output AIG and the best-candidate
+    // commit then run serially in level order, which pins the result for
+    // any worker count.
+    for (const auto& nodes : aig.and_levels()) {
         // ---- eval-parallel phase (pure, reads only the input AIG) ----
         level_evals.assign(nodes.size(), {});
-        const auto eval_node = [&](std::size_t i, CutConeEvaluator& evaluator) {
+        team.for_each(nodes.size(), [&](std::size_t i, std::size_t slot) {
             const std::uint32_t n = nodes[i];
             const auto& node_cuts = cuts.cuts[n];
             auto& evals = level_evals[i];
@@ -195,24 +179,12 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
                     evals.emplace_back();  // placeholder keeps indices aligned
                     continue;
                 }
-                evals.push_back(evaluate_cut(evaluator.evaluate(n, cut), *cache));
+                evals.push_back(
+                    evaluate_cut(evaluators[slot].evaluate(n, cut), *cache));
             }
-        };
-        if (!pool) {
-            for (std::size_t i = 0; i < nodes.size(); ++i) {
-                eval_node(i, evaluators[0]);
-            }
-        } else {
-            const std::size_t chunks =
-                std::min(nodes.size(), static_cast<std::size_t>(workers));
-            pool->for_each_index(chunks, [&](std::size_t c) {
-                for (std::size_t i = c; i < nodes.size(); i += chunks) {
-                    eval_node(i, evaluators[c]);
-                }
-            });
-        }
+        });
 
-        // ---- commit-serial phase (topological node order) ----
+        // ---- commit-serial phase (level order, ascending id) ----
         for (std::size_t i = 0; i < nodes.size(); ++i) {
             const std::uint32_t n = nodes[i];
             // Default: direct copy.

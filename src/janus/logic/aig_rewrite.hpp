@@ -8,9 +8,9 @@
 ///
 /// The pass is an eval-parallel / commit-serial engine (docs/SYNTH.md):
 /// the pure per-cut work — truth table, memoized Espresso covers, node
-/// estimate — runs concurrently per topological level on the thread pool
-/// against the frozen input AIG, while candidate construction and
-/// best-replacement commits stay serial in topological order. Output is
+/// estimate — runs concurrently per Aig::and_levels() level on a
+/// WorkerTeam against the frozen input AIG, while candidate construction
+/// and best-replacement commits stay serial in level order. Output is
 /// byte-identical for any worker count and with the SOP memo cache on or
 /// off (the same contract the place, route and timing workers carry).
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 
 #include "janus/util/thread_pool.hpp"
@@ -46,19 +45,21 @@ bool merge_leaves(const std::vector<std::uint32_t>& a,
     return true;
 }
 
-/// Computes node n's full cut list from its fanins' (already complete)
+/// The trivial cut {n}, which heads every node's cut list.
+Cut trivial_cut(std::uint32_t n) {
+    Cut triv;
+    triv.leaves = {n};
+    triv.signature = signature_of(triv.leaves);
+    return triv;
+}
+
+/// Computes AND node n's full cut list from its fanins' (already complete)
 /// lists. Pure per node given those inputs, which is what makes the
 /// level-parallel sweep deterministic.
 void compute_node_cuts(const Aig& aig, const CutEnumOptions& opts, CutSet& cs,
                        std::uint32_t n, std::vector<std::uint32_t>& merged) {
     auto& node_cuts = cs.cuts[n];
-    // Trivial cut first.
-    Cut triv;
-    triv.leaves = {n};
-    triv.signature = signature_of(triv.leaves);
-    node_cuts.push_back(std::move(triv));
-    if (!aig.is_and(n)) return;
-
+    node_cuts.push_back(trivial_cut(n));
     const std::uint32_t f0 = aig_node(aig.fanin0(n));
     const std::uint32_t f1 = aig_node(aig.fanin1(n));
     for (const Cut& c0 : cs.cuts[f0]) {
@@ -95,41 +96,17 @@ void compute_node_cuts(const Aig& aig, const CutEnumOptions& opts, CutSet& cs,
 CutSet enumerate_cuts(const Aig& aig, const CutEnumOptions& opts) {
     CutSet cs;
     cs.cuts.resize(aig.num_nodes());
-    const int workers = std::max(1, opts.workers);
-
-    if (workers == 1) {
-        std::vector<std::uint32_t> merged;
-        for (const std::uint32_t n : aig.topological_order()) {
-            compute_node_cuts(aig, opts, cs, n, merged);
-        }
-        return cs;
-    }
-
-    // Level-parallel sweep: a node's cuts depend only on its fanins, which
-    // sit on strictly lower levels, so each level is an independent batch
-    // evaluated concurrently and written into per-node slots (the in-order
-    // merge is positional — no ordering races).
-    const std::vector<int> levels = aig.levels();
-    int max_level = 0;
     for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-        max_level = std::max(max_level, levels[n]);
+        if (!aig.is_and(n)) cs.cuts[n].push_back(trivial_cut(n));
     }
-    std::vector<std::vector<std::uint32_t>> by_level(
-        static_cast<std::size_t>(max_level) + 1);
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-        by_level[static_cast<std::size_t>(levels[n])].push_back(n);
-    }
-
-    ThreadPool pool(workers);
-    for (const auto& nodes : by_level) {
-        if (nodes.empty()) continue;
-        const std::size_t chunks =
-            std::min(nodes.size(), static_cast<std::size_t>(workers));
-        pool.for_each_index(chunks, [&](std::size_t c) {
-            std::vector<std::uint32_t> merged;
-            for (std::size_t i = c; i < nodes.size(); i += chunks) {
-                compute_node_cuts(aig, opts, cs, nodes[i], merged);
-            }
+    // Level sweep: a node's cuts depend only on its fanins, which sit on
+    // strictly lower levels, so each level's nodes are independent and
+    // write only their own per-node slots.
+    WorkerTeam team(opts.workers);
+    std::vector<std::vector<std::uint32_t>> merged(team.slots());
+    for (const auto& nodes : aig.and_levels()) {
+        team.for_each(nodes.size(), [&](std::size_t i, std::size_t slot) {
+            compute_node_cuts(aig, opts, cs, nodes[i], merged[slot]);
         });
     }
     return cs;

@@ -38,10 +38,10 @@ struct CutEnumOptions {
     int workers = 1;
 };
 
-/// Enumerates K-feasible cuts bottom-up with dominance pruning. Nodes on
-/// the same topological level are processed concurrently (`opts.workers`)
-/// and merged in node-index order; output is byte-identical for any
-/// worker count.
+/// Enumerates K-feasible cuts bottom-up with dominance pruning, one
+/// Aig::and_levels() level at a time. Nodes of a level are processed
+/// concurrently on a WorkerTeam of `opts.workers` and each writes only its
+/// own cut list, so the output is byte-identical for any worker count.
 CutSet enumerate_cuts(const Aig& aig, const CutEnumOptions& opts = {});
 
 /// Reusable scratch for cut-function evaluation. Replaces the historical

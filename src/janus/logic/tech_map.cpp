@@ -152,47 +152,22 @@ Netlist tech_map(const Aig& aig, std::shared_ptr<const CellLibrary> lib,
         af[n] = best / std::max<std::uint32_t>(1, fanout[n]);
     };
 
+    WorkerTeam team(workers);
+    std::vector<CutConeEvaluator> evaluators;
+    evaluators.reserve(team.slots());
+    for (std::size_t s = 0; s < team.slots(); ++s) evaluators.emplace_back(aig);
+    std::vector<MatchCounters> counters(team.slots());
+    for (const auto& nodes : aig.and_levels()) {
+        team.for_each(nodes.size(), [&](std::size_t i, std::size_t slot) {
+            match_node(nodes[i], evaluators[slot], counters[slot]);
+        });
+    }
+    // Each node is counted exactly once whatever slot ran it, so the summed
+    // totals are worker-invariant.
     MatchCounters total;
-    if (workers == 1) {
-        CutConeEvaluator evaluator(aig);
-        for (const std::uint32_t n : aig.topological_order()) {
-            if (!aig.is_and(n)) continue;
-            match_node(n, evaluator, total);
-        }
-    } else {
-        const std::vector<int> levels = aig.levels();
-        int max_level = 0;
-        for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-            if (aig.is_and(n)) max_level = std::max(max_level, levels[n]);
-        }
-        std::vector<std::vector<std::uint32_t>> by_level(
-            static_cast<std::size_t>(max_level) + 1);
-        for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-            if (aig.is_and(n)) {
-                by_level[static_cast<std::size_t>(levels[n])].push_back(n);
-            }
-        }
-        ThreadPool pool(workers);
-        std::vector<CutConeEvaluator> evaluators;
-        std::vector<MatchCounters> counters(static_cast<std::size_t>(workers));
-        evaluators.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) evaluators.emplace_back(aig);
-        for (const auto& nodes : by_level) {
-            if (nodes.empty()) continue;
-            const std::size_t chunks =
-                std::min(nodes.size(), static_cast<std::size_t>(workers));
-            pool.for_each_index(chunks, [&](std::size_t c) {
-                for (std::size_t i = c; i < nodes.size(); i += chunks) {
-                    match_node(nodes[i], evaluators[c], counters[c]);
-                }
-            });
-        }
-        // Each node is counted exactly once whatever the chunk layout, so
-        // the summed totals match the serial sweep.
-        for (const MatchCounters& c : counters) {
-            total.cuts_evaluated += c.cuts_evaluated;
-            total.matched_cuts += c.matched_cuts;
-        }
+    for (const MatchCounters& c : counters) {
+        total.cuts_evaluated += c.cuts_evaluated;
+        total.matched_cuts += c.matched_cuts;
     }
     if (stats) {
         stats->cuts_evaluated = total.cuts_evaluated;

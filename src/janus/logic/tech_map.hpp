@@ -7,8 +7,8 @@
 ///
 /// The matching DP is eval-parallel per topological level (docs/SYNTH.md):
 /// each node's cut truth tables and pattern lookups are pure given the
-/// area-flow of its (lower-level, frozen) leaves, so levels fan out on the
-/// thread pool and the netlist emission stays serial. Output is
+/// area-flow of its (lower-level, frozen) leaves, so each level fans out on
+/// a WorkerTeam and the netlist emission stays serial. Output is
 /// byte-identical for any worker count.
 
 #include <cstdint>

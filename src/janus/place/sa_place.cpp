@@ -8,6 +8,7 @@
 #include "janus/place/net_bbox.hpp"
 #include "janus/util/rng.hpp"
 #include "janus/util/speculate.hpp"
+#include "janus/util/thread_pool.hpp"
 
 namespace janus {
 namespace {
@@ -109,8 +110,8 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
                    static_cast<double>(std::max<std::size_t>(1, nl.num_nets())));
     double accumulated = res.initial_hpwl_um;
 
-    SpeculativeExecutor exec(opts.workers);
-    std::vector<SlotScratch> scratch(exec.slots());
+    WorkerTeam team(opts.workers);
+    std::vector<SlotScratch> scratch(team.slots());
     for (SlotScratch& s : scratch) {
         s.nets.resize(nl.num_nets());
         s.insts.resize(nl.num_instances());
@@ -192,7 +193,7 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
         // its moves against the round-frozen netlist/cache, on its own RNG
         // stream. The slot id picks only the scratch set — everything a
         // region computes is a pure function of (seed, round, region).
-        exec.for_each_region(regions, [&](std::size_t r, std::size_t slot) {
+        team.for_each(regions, [&](std::size_t r, std::size_t slot) {
             RegionRound& o = out[r];
             SlotScratch& sc = scratch[slot];
             sc.nets.next_epoch();

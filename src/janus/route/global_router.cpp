@@ -9,6 +9,7 @@
 #include "janus/route/line_search.hpp"
 #include "janus/route/maze_router.hpp"
 #include "janus/util/speculate.hpp"
+#include "janus/util/thread_pool.hpp"
 
 namespace janus {
 namespace {
@@ -292,8 +293,8 @@ GlobalRouteResult route_design(const Netlist& nl, const PlacementArea& area,
     // so the result is byte-identical for any worker count.
     const std::size_t cells = static_cast<std::size_t>(opts.gcells_x) *
                               static_cast<std::size_t>(opts.gcells_y);
-    SpeculativeExecutor exec(opts.route_workers);
-    std::vector<GridGraph> slot_grids(exec.slots(),
+    WorkerTeam team(opts.route_workers);
+    std::vector<GridGraph> slot_grids(team.slots(),
                                       GridGraph(opts.gcells_x, opts.gcells_y,
                                                 capacity));
     OwnerStamps stamps;
@@ -377,7 +378,7 @@ GlobalRouteResult route_design(const Netlist& nl, const PlacementArea& area,
             // candidate is a pure function of (snapshot, panel, chain).
             std::vector<std::vector<RerouteCandidate>> out(panels);
             std::vector<SearchStats> panel_stats(panels);
-            exec.for_each_region(panels, [&](std::size_t p, std::size_t slot) {
+            team.for_each(panels, [&](std::size_t p, std::size_t slot) {
                 if (panel_nets[p].empty()) return;
                 GridGraph& g = slot_grids[slot];
                 g = grid;  // concurrent reads of the frozen grid are safe

@@ -37,7 +37,7 @@ TimingGraph& Session::warm_graph(bool* rebuilt) {
     const std::uint64_t epoch = ctx_.netlist.mutation_epoch();
     if (!graph_ || graph_epoch_ != epoch) {
         graph_ = std::make_unique<TimingGraph>(ctx_.netlist, sta_options());
-        graph_->analyze(ctx_.params.workers);
+        graph_->analyze();
         graph_epoch_ = epoch;
         ++full_rebuilds_;
         if (rebuilt) *rebuilt = true;

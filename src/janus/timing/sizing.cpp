@@ -13,7 +13,7 @@ SizingResult size_for_timing(Netlist& nl, const SizingOptions& opts) {
     const CellLibrary& lib = nl.library();
 
     TimingGraph tg(nl, opts.sta);
-    tg.analyze(opts.sta.sta_workers);
+    tg.analyze();
 
     TimingReport tr = tg.report();
     res.wns_before_ps = tr.wns_ps;

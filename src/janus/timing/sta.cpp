@@ -11,7 +11,7 @@ TimingReport run_sta(const Netlist& nl, const StaOptions& opts) {
     // Callers that query timing repeatedly (sizing loops, what-if resizes)
     // should hold a TimingGraph directly and use update().
     TimingGraph tg(nl, opts);
-    tg.analyze(opts.sta_workers);
+    tg.analyze();
     return tg.report();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "janus/util/thread_pool.hpp"
@@ -12,9 +11,6 @@ namespace janus {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Minimum per-chunk work before a level is split across the pool; below
-/// this the submit/wake overhead dominates the sweep itself.
-constexpr std::size_t kParallelGrain = 256;
 }  // namespace
 
 std::vector<TimingEndpoint> timing_endpoints(const Netlist& nl,
@@ -149,7 +145,7 @@ void TimingGraph::recompute_source_required(NetId net) {
     required_[net] = req;
 }
 
-void TimingGraph::analyze(int workers) {
+void TimingGraph::analyze() {
     check_fresh();
     const std::size_t ni = nl_->num_instances();
     const std::size_t nn = nl_->num_nets();
@@ -158,26 +154,10 @@ void TimingGraph::analyze(int workers) {
     for (const InstId i : dirty_seeds_) delay_dirty_[i] = 0;
     dirty_seeds_.clear();
 
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-    // Runs fn(i) over one level. Instances of a level read only strictly
-    // lower levels (forward) or strictly higher ones (backward) and write
-    // only their own output slot, so chunked execution is race-free and
-    // bit-identical to the serial loop for any worker/chunk count.
-    const auto sweep = [&](const std::vector<InstId>& insts, auto&& fn) {
-        if (!pool || insts.size() < 2 * kParallelGrain) {
-            for (const InstId i : insts) fn(i);
-            return;
-        }
-        const std::size_t chunks = std::min(
-            pool->size(), (insts.size() + kParallelGrain - 1) / kParallelGrain);
-        const std::size_t len = (insts.size() + chunks - 1) / chunks;
-        pool->for_each_index(chunks, [&](std::size_t c) {
-            const std::size_t b = c * len;
-            const std::size_t e = std::min(insts.size(), b + len);
-            for (std::size_t k = b; k < e; ++k) fn(insts[k]);
-        });
-    };
+    // Instances of a level read only strictly lower levels (forward) or
+    // strictly higher ones (backward) and write only their own output slot,
+    // so each level sweeps race-free and bit-identical to a serial loop.
+    WorkerTeam team(opts_.sta_workers);
 
     // Forward: startpoints, then level-by-level delays + arrivals.
     gate_delay_.assign(ni, 0.0);
@@ -189,16 +169,19 @@ void TimingGraph::analyze(int workers) {
         min_arrival_[q] = opts_.clk_to_q_ps;
     }
     for (const auto& level : levels_) {
-        sweep(level, [&](InstId i) {
+        team.for_each(level.size(), [&](std::size_t k, std::size_t) {
+            const InstId i = level[k];
             gate_delay_[i] = instance_delay_ps(*nl_, i, opts_.wire);
             eval_forward(i);
-        });
+        }, kParallelGrain);
     }
 
     // Backward: level-by-level requireds (descending), then source nets.
     required_.assign(nn, kInf);
     for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-        sweep(*it, [&](InstId i) { eval_backward(i); });
+        team.for_each(it->size(), [&](std::size_t k, std::size_t) {
+            eval_backward((*it)[k]);
+        }, kParallelGrain);
     }
     for (const NetId n : source_nets_) recompute_source_required(n);
 
@@ -209,6 +192,12 @@ void TimingGraph::analyze(int workers) {
         slack_[n] = std::isinf(required_[n]) ? kInf : required_[n] - arrival_[n];
     }
     analyzed_ = true;
+}
+
+std::size_t TimingGraph::max_level_width() const {
+    std::size_t widest = 0;
+    for (const auto& level : levels_) widest = std::max(widest, level.size());
+    return widest;
 }
 
 void TimingGraph::mark_dirty(InstId inst) {

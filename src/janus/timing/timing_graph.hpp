@@ -7,10 +7,11 @@
 ///
 /// Two analysis modes share those caches:
 ///
-///  - analyze(workers): full analysis via level-by-level forward and
-///    backward sweeps. Levels are data-parallel (every instance of a level
-///    reads only strictly lower levels and writes only its own output), so
-///    the sweeps run on util/thread_pool and are **bit-identical** for any
+///  - analyze(): full analysis via level-by-level forward and backward
+///    sweeps. Levels are data-parallel (every instance of a level reads
+///    only strictly lower levels and writes only its own output), so the
+///    sweeps run on a WorkerTeam of `StaOptions::sta_workers` slots, in
+///    blocks of kParallelGrain instances, and are **bit-identical** for any
 ///    worker count — the same determinism contract as `route_workers`
 ///    (docs/TIMING.md).
 ///
@@ -71,11 +72,17 @@ class TimingGraph {
     /// resize().
     explicit TimingGraph(const Netlist& nl, const StaOptions& opts = {});
 
+    /// Instances per block of a full-analysis level sweep: a level of at
+    /// most this many instances runs inline, since waking the team would
+    /// cost more than the sweep itself.
+    static constexpr std::size_t kParallelGrain = 256;
+
     /// Full analysis: parallel level-by-level forward sweep (arrivals, min
-    /// arrivals for hold), then backward sweep (requireds), then slacks.
-    /// Bit-identical for any `workers` value; 1 = serial. Clears any
-    /// pending dirty seeds (a full rebuild supersedes them).
-    void analyze(int workers = 1);
+    /// arrivals for hold), then backward sweep (requireds), then slacks, on
+    /// the `sta_workers` of the options the graph was built with.
+    /// Bit-identical for any worker count. Clears any pending dirty seeds
+    /// (a full rebuild supersedes them).
+    void analyze();
 
     /// Notes that `inst` changed drive variant in place. Marks the
     /// instance itself dirty plus the combinational drivers of its fanin
@@ -103,6 +110,8 @@ class TimingGraph {
     const std::vector<TimingEndpoint>& endpoints() const { return endpoints_; }
     /// Number of combinational levels (the parallel sweep depth).
     std::size_t num_levels() const { return levels_.size(); }
+    /// Instances on the widest level (the widest parallel sweep step).
+    std::size_t max_level_width() const;
     /// Longest endpoint arrival — the critical delay — via one O(endpoints)
     /// scan; cheap enough to call once per sizing pass.
     double critical_delay_ps() const;

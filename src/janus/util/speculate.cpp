@@ -1,10 +1,7 @@
 #include "janus/util/speculate.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-
-#include "janus/util/thread_pool.hpp"
 
 namespace janus {
 
@@ -42,35 +39,6 @@ int RegionGrid::auto_tiles_per_axis(std::size_t items, std::size_t target,
     const int per_axis =
         static_cast<int>(std::ceil(std::sqrt(std::max(1.0, tiles_wanted))));
     return std::clamp(per_axis, 1, std::max(1, max_per_axis));
-}
-
-SpeculativeExecutor::SpeculativeExecutor(int workers) {
-    if (workers > 1) {
-        pool_ = std::make_unique<ThreadPool>(workers);
-        slots_ = pool_->size();
-    }
-}
-
-SpeculativeExecutor::~SpeculativeExecutor() = default;
-
-void SpeculativeExecutor::for_each_region(
-    std::size_t regions,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-    if (regions == 0) return;
-    if (!pool_ || regions == 1) {
-        for (std::size_t r = 0; r < regions; ++r) fn(r, 0);
-        return;
-    }
-    // One durable task per slot; regions are pulled from a shared cursor so
-    // a slot that finishes its region early steals the next one instead of
-    // idling at a per-batch barrier.
-    std::atomic<std::size_t> cursor{0};
-    pool_->run_slots(std::min(slots_, regions), [&](std::size_t slot) {
-        for (std::size_t r = cursor.fetch_add(1); r < regions;
-             r = cursor.fetch_add(1)) {
-            fn(r, slot);
-        }
-    });
 }
 
 }  // namespace janus

@@ -3,12 +3,12 @@
 /// Speculative region-ownership execution, shared by the SA detailed placer
 /// (sa_place.cpp) and the global router's negotiation loop
 /// (global_router.cpp). The amorphous-data-parallelism model: the domain is
-/// cut into a fixed geometric grid of regions, each worker slot pulls whole
-/// regions from a shared cursor and *optimistically* evaluates that region's
-/// work against a snapshot frozen for the round, and the results are
-/// committed serially in deterministic region/draw (or congestion) order
-/// with cross-region conflicts detected by epoch-stamped claim arrays and
-/// re-queued to the next round.
+/// cut into a fixed geometric grid of regions, each WorkerTeam slot
+/// (util/thread_pool.hpp) pulls whole regions from a shared cursor and
+/// *optimistically* evaluates that region's work against a snapshot frozen
+/// for the round, and the results are committed serially in deterministic
+/// region/draw (or congestion) order with cross-region conflicts detected
+/// by epoch-stamped claim arrays and re-queued to the next round.
 ///
 /// Determinism contract: the region grid, the per-region work sequences and
 /// RNG streams, and the commit order are all pure functions of the input and
@@ -18,13 +18,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 namespace janus {
-
-class ThreadPool;
 
 /// Deterministic tiling of an integer rectangle into tiles_x * tiles_y
 /// regions. `shifted` offsets the cut lines by half a tile in both axes so
@@ -101,37 +97,6 @@ struct SpecStats {
                              : static_cast<double>(committed) /
                                    static_cast<double>(attempts);
     }
-};
-
-/// The worker team of one speculative stage invocation: `slots()` persistent
-/// worker slots (1 when serial) with stable slot ids, so per-slot scratch
-/// (claim arrays, private grid copies) is allocated once and reused every
-/// round instead of being rebuilt per batch — the per-batch task submission
-/// this engine replaces was the dominant overhead of the old design.
-class SpeculativeExecutor {
-  public:
-    /// `workers` <= 1 runs everything inline on the calling thread.
-    explicit SpeculativeExecutor(int workers);
-    ~SpeculativeExecutor();
-
-    SpeculativeExecutor(const SpeculativeExecutor&) = delete;
-    SpeculativeExecutor& operator=(const SpeculativeExecutor&) = delete;
-
-    /// Stable scratch-slot count; fn's `slot` argument is always < this.
-    std::size_t slots() const { return slots_; }
-
-    /// Runs fn(region, slot) for every region in [0, regions). Regions are
-    /// claimed dynamically by slots, so which slot evaluates a region is
-    /// scheduling-dependent — fn must write its observable results indexed
-    /// by `region` (and use `slot` only for scratch) to keep the output
-    /// worker-invariant. Blocks until every region is done.
-    void for_each_region(
-        std::size_t regions,
-        const std::function<void(std::size_t region, std::size_t slot)>& fn);
-
-  private:
-    std::size_t slots_ = 1;
-    std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace janus

@@ -49,7 +49,7 @@ void ThreadPool::worker_loop() {
             task = std::move(queue_.front());
             queue_.pop();
         }
-        task();  // tasks must not throw; for_each_index wraps user fns
+        task();  // tasks must not throw; run_slots wraps user fns
         {
             std::lock_guard<std::mutex> lock(mutex_);
             --in_flight_;
@@ -94,28 +94,39 @@ void ThreadPool::run_slots(std::size_t slots,
     if (first_error) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::for_each_index(std::size_t n,
-                                const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    // Stripe the index space over slot tasks pulling from a shared cursor.
-    // The lowest-index-exception contract needs care: each slot records its
-    // own lowest failure, and the slots' candidates are merged under the
-    // error mutex so the globally lowest index wins.
+WorkerTeam::WorkerTeam(int workers) {
+    if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
+}
+
+void WorkerTeam::for_each(std::size_t n,
+                          const std::function<void(std::size_t, std::size_t)>& fn,
+                          std::size_t grain) {
+    grain = std::max<std::size_t>(1, grain);
+    const std::size_t blocks = n / grain + (n % grain != 0);
+    if (!pool_ || blocks <= 1) {
+        for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+        return;
+    }
+    // A slot that finishes its block early takes the next one instead of
+    // idling at a per-call barrier. Failures are merged under the mutex so
+    // the globally lowest index wins, as a serial loop would report it.
+    std::atomic<std::size_t> cursor{0};
     std::mutex err_mutex;
     std::exception_ptr first_error;
     std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
-    std::atomic<std::size_t> cursor{0};
-
-    run_slots(std::min(n, threads_.size()), [&](std::size_t) {
-        for (std::size_t i = cursor.fetch_add(1); i < n;
-             i = cursor.fetch_add(1)) {
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(err_mutex);
-                if (i < first_error_index) {
-                    first_error_index = i;
-                    first_error = std::current_exception();
+    pool_->run_slots(std::min(blocks, pool_->size()), [&](std::size_t slot) {
+        for (std::size_t b = cursor.fetch_add(grain); b < n;
+             b = cursor.fetch_add(grain)) {
+            const std::size_t e = b + std::min(grain, n - b);
+            for (std::size_t i = b; i < e; ++i) {
+                try {
+                    fn(i, slot);
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(err_mutex);
+                    if (i < first_error_index) {
+                        first_error_index = i;
+                        first_error = std::current_exception();
+                    }
                 }
             }
         }

@@ -307,28 +307,6 @@ TEST(StageTrace, RecordsEveryStageAndSerializesToJson) {
 
 // ----------------------------------------------------------- ThreadPool
 
-TEST(ThreadPool, ForEachIndexCoversEveryIndexExactlyOnce) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(257);
-    pool.for_each_index(hits.size(),
-                        [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ForEachIndexRethrowsLowestIndexException) {
-    ThreadPool pool(3);
-    try {
-        pool.for_each_index(64, [](std::size_t i) {
-            if (i % 7 == 3) {  // lowest failing index is 3
-                throw std::runtime_error("fail@" + std::to_string(i));
-            }
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "fail@3");
-    }
-}
-
 TEST(ThreadPool, SubmitAndWaitIdleDrainsQueue) {
     ThreadPool pool(2);
     std::atomic<int> count{0};
@@ -366,8 +344,8 @@ TEST(Log, ConcurrentEmissionIsSafe) {
     // per-thread contexts must not race on the sink or the level.
     const LogLevel prev = log_level();
     set_log_level(LogLevel::Silent);
-    ThreadPool pool(4);
-    pool.for_each_index(64, [](std::size_t i) {
+    WorkerTeam team(4);
+    team.for_each(64, [](std::size_t i, std::size_t) {
         ScopedLogContext ctx("worker" + std::to_string(i % 4));
         log_warning("message " + std::to_string(i));
         if (i == 0) set_log_level(LogLevel::Silent);  // writer vs readers

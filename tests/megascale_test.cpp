@@ -368,6 +368,28 @@ TEST(MegascaleHier, FailedBlocksReportThroughTopError) {
     }
 }
 
+TEST(MegascaleHier, ScanInsideBlocksIsRejectedUpFront) {
+    // Scan insertion would give every sequential block scan ports with no
+    // net in the flat design; the flow refuses before any block runs
+    // instead of failing in the stitch.
+    for (const int blocks : {1, 3}) {
+        SCOPED_TRACE(std::to_string(blocks) + " blocks");
+        HierParams hp;
+        hp.num_blocks = blocks;
+        hp.workers = 2;
+        hp.block_flow.stages = FlowStageMask::Scan | FlowStageMask::ClockTree;
+        std::string error;
+        try {
+            run_hier_flow(generate_mesh(lib28(), 1500, 5, 2), *find_node("28nm"), hp);
+        } catch (const std::invalid_argument& e) {
+            error = e.what();
+        }
+        EXPECT_EQ(error,
+                  "HierParams: block_flow.stages must not include Scan; scan "
+                  "chains cannot be stitched across blocks");
+    }
+}
+
 /// Message of the std::runtime_error run_hier_flow throws for `nl` split
 /// into `blocks`, or "" when the flow completes.
 std::string hier_error(const Netlist& nl, int blocks) {

@@ -254,7 +254,7 @@ TEST(TimingGraph, NonDefaultConstraintsStillMatchReference) {
 
 TEST(TimingGraph, WorkerCountIsBitInvariant) {
     // Wide shallow random logic so the level sweeps actually split across
-    // the pool (the engine only forks levels past its grain threshold).
+    // the team (a level of at most kParallelGrain instances runs inline).
     GeneratorConfig cfg;
     cfg.num_gates = 40000;
     cfg.num_inputs = 256;
@@ -264,34 +264,18 @@ TEST(TimingGraph, WorkerCountIsBitInvariant) {
     const Netlist nl = generate_random(lib28(), cfg);
 
     TimingGraph serial(nl);
-    serial.analyze(1);
-    // Guard: the widest level must exceed the parallel grain, otherwise
-    // this test would pass vacuously through the serial fallback.
-    std::size_t widest = 0;
-    {
-        std::vector<std::size_t> width(serial.num_levels(), 0);
-        std::vector<int> level(nl.num_instances(), -1);
-        for (const InstId i : nl.topological_order()) {
-            const Instance& inst = nl.instance(i);
-            int lv = 0;
-            const int arity = function_arity(nl.type_of(i).function);
-            for (int p = 0; p < arity; ++p) {
-                const Net& net = nl.net(inst.fanin[static_cast<std::size_t>(p)]);
-                if (net.driver_kind == DriverKind::Instance &&
-                    !is_sequential(nl.type_of(net.driver_inst).function)) {
-                    lv = std::max(lv, level[net.driver_inst] + 1);
-                }
-            }
-            level[i] = lv;
-            widest = std::max(widest, ++width[static_cast<std::size_t>(lv)]);
-        }
-    }
-    ASSERT_GE(widest, 512u) << "test design too narrow to engage the pool";
+    serial.analyze();
+    // Guard: the widest level must span several sweep blocks, otherwise
+    // this test would pass vacuously through the inline path.
+    ASSERT_GT(serial.max_level_width(), 2 * TimingGraph::kParallelGrain)
+        << "test design too narrow to engage the team";
 
     for (const int workers : {2, 4, 8}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        TimingGraph par(nl);
-        par.analyze(workers);
+        StaOptions opts;
+        opts.sta_workers = workers;
+        TimingGraph par(nl, opts);
+        par.analyze();
         expect_bits_equal(serial.arrivals(), par.arrivals(), "arrival");
         expect_bits_equal(serial.requireds(), par.requireds(), "required");
         expect_bits_equal(serial.slacks(), par.slacks(), "slack");
@@ -308,7 +292,7 @@ void run_resize_fuzz(std::size_t gates, std::uint64_t seed, int steps) {
     Netlist nl = generate_mesh(lib28(), gates, seed, 2);
     const CellLibrary& lib = nl.library();
     TimingGraph tg(nl);
-    tg.analyze(1);
+    tg.analyze();
 
     Rng rng(mix_seed(seed, gates));
     std::vector<std::pair<InstId, std::size_t>> history;
@@ -334,7 +318,7 @@ void run_resize_fuzz(std::size_t gates, std::uint64_t seed, int steps) {
         EXPECT_GT(st.instances_reevaluated(), 0u);
 
         TimingGraph fresh(nl);
-        fresh.analyze(1);
+        fresh.analyze();
         SCOPED_TRACE("step " + std::to_string(step));
         expect_bits_equal(fresh.arrivals(), tg.arrivals(), "arrival");
         expect_bits_equal(fresh.requireds(), tg.requireds(), "required");
@@ -358,7 +342,7 @@ TEST(TimingGraph, IncrementalMatchesFullRebuildSeed21) {
 TEST(TimingGraph, SingleResizeTouchesSmallCone) {
     Netlist nl = generate_mesh(lib28(), 6000, 9, 0);
     TimingGraph tg(nl);
-    tg.analyze(1);
+    tg.analyze();
     // Resize one mid-design instance: the re-evaluated cone must be a small
     // fraction of what two full sweeps (old run_sta per query) would cost.
     const InstId victim = static_cast<InstId>(nl.num_instances() / 2);
@@ -381,7 +365,7 @@ TEST(TimingGraph, SingleResizeTouchesSmallCone) {
 TEST(TimingGraph, NoopUpdateDoesNothing) {
     const Netlist nl = generate_adder(lib28(), 8);
     TimingGraph tg(nl);
-    tg.analyze(1);
+    tg.analyze();
     const TimingUpdateStats st = tg.update();
     EXPECT_EQ(st.instances_reevaluated(), 0u);
     EXPECT_EQ(st.delays_recomputed, 0u);
@@ -399,13 +383,13 @@ TEST(TimingGraph, UpdateBeforeAnalyzeThrows) {
 TEST(TimingGraph, StructuralMutationInvalidatesGraph) {
     Netlist nl = generate_adder(lib28(), 4);
     TimingGraph tg(nl);
-    tg.analyze(1);
+    tg.analyze();
     nl.add_net("late_net");  // structural change bumps the epoch
-    EXPECT_THROW(tg.analyze(1), std::logic_error);
+    EXPECT_THROW(tg.analyze(), std::logic_error);
     EXPECT_THROW(tg.update(), std::logic_error);
     // A rebuilt graph picks the new structure up fine.
     TimingGraph fresh(nl);
-    fresh.analyze(1);
+    fresh.analyze();
     expect_reports_identical(fresh.report(), reference_sta(nl));
 }
 

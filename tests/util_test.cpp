@@ -2,6 +2,10 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "janus/util/disjoint_set.hpp"
 #include "janus/util/geometry.hpp"
@@ -222,6 +226,64 @@ TEST(ThreadPool, RunSlotsBackToBackCallsSettleCleanly) {
         });
     }
     EXPECT_EQ(ran.load(), kCalls * 4);
+}
+
+// ------------------------------------------------------------- worker team
+
+TEST(WorkerTeam, ForEachCoversEveryIndexExactlyOnce) {
+    for (const int workers : {1, 3, 4}) {
+        WorkerTeam team(workers);
+        for (const std::size_t grain : {1u, 7u}) {
+            for (const std::size_t n : {0u, 1u, 7u, 257u}) {
+                SCOPED_TRACE("workers " + std::to_string(workers) + ", grain " +
+                             std::to_string(grain) + ", n " + std::to_string(n));
+                std::vector<std::atomic<int>> hits(n);
+                std::atomic<bool> slot_in_range{true};
+                team.for_each(n, [&](std::size_t i, std::size_t slot) {
+                    hits[i].fetch_add(1);
+                    if (slot >= team.slots()) slot_in_range = false;
+                }, grain);
+                for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+                EXPECT_TRUE(slot_in_range.load());
+            }
+        }
+    }
+}
+
+TEST(WorkerTeam, SerialTeamRunsOnTheCallingThread) {
+    for (const int workers : {-1, 0, 1}) {
+        WorkerTeam team(workers);
+        EXPECT_EQ(team.slots(), 1u);
+        std::vector<std::thread::id> ran_on(100);
+        team.for_each(ran_on.size(), [&](std::size_t i, std::size_t slot) {
+            EXPECT_EQ(slot, 0u);
+            ran_on[i] = std::this_thread::get_id();
+        }, 3);
+        for (const std::thread::id id : ran_on) {
+            EXPECT_EQ(id, std::this_thread::get_id());
+        }
+    }
+    EXPECT_EQ(WorkerTeam(4).slots(), 4u);
+}
+
+TEST(WorkerTeam, ForEachRethrowsLowestIndexException) {
+    for (const int workers : {1, 3, 4}) {
+        for (const std::size_t grain : {1u, 7u}) {
+            SCOPED_TRACE("workers " + std::to_string(workers) + ", grain " +
+                         std::to_string(grain));
+            WorkerTeam team(workers);
+            try {
+                team.for_each(64, [](std::size_t i, std::size_t) {
+                    if (i % 7 == 3) {  // lowest failing index is 3
+                        throw std::runtime_error("fail@" + std::to_string(i));
+                    }
+                }, grain);
+                ADD_FAILURE() << "expected an exception";
+            } catch (const std::runtime_error& e) {
+                EXPECT_STREQ(e.what(), "fail@3");
+            }
+        }
+    }
 }
 
 }  // namespace
