@@ -8,12 +8,17 @@
 /// generator design, the memo cache's measured Espresso-call reduction,
 /// and the MFFC work counters that retire the historical O(n^2) refcount
 /// copies. The >= 2x @ 4 workers check is gated on
-/// hardware_concurrency() >= 4 like the route/place benches.
+/// hardware_concurrency() >= 4 like the route/place benches. A last row
+/// runs never-repeated 10k-gate designs through one FlowEngine, whose memo
+/// outlives each job: per-design optimize time with a cold memo (a fresh
+/// engine) and a warm one, Espresso calls, and the memo's size.
 ///
 /// `--smoke` runs a scaled-down byte-identity check as a ctest unit:
 /// optimize + tech_map at 1 and 4 workers and optimize with the memo cache
-/// on and off (nonzero exit on a mismatch; no BENCH file update).
+/// on and off, then a warm engine against a fresh one (nonzero exit on a
+/// mismatch; no BENCH file update).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,8 +26,10 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "janus/flow/flow_engine.hpp"
 #include "janus/logic/aig.hpp"
 #include "janus/logic/aig_rewrite.hpp"
 #include "janus/logic/sop_cache.hpp"
@@ -46,9 +53,35 @@ std::string serialize(const Aig& aig) {
     return os.str();
 }
 
+/// One design run to `map` on `engine`: the optimize stage's wall time,
+/// Espresso calls and memo size after the stage, and the mapped netlist.
+struct EngineRun {
+    double optimize_ms = 0;
+    std::int64_t espresso = 0;
+    std::int64_t memo_entries = 0;
+    std::string mapped;
+};
+
+EngineRun run_to_map(const FlowEngine& engine, const Netlist& nl,
+                     const FlowParams& params = {}) {
+    FlowContext ctx(nl, *find_node("28nm"), params);
+    engine.run_to(ctx, "map");
+    const StageTraceEntry& opt = ctx.trace.entries.at(0);
+    return {opt.wall_ms, opt.note_int("espresso"), opt.note_int("memo_entries"),
+            netlist_to_string(ctx.netlist)};
+}
+
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n == 0 ? 0.0 : n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
 /// Scaled-down correctness run for ctest: the synth_random path (optimize,
 /// then tech_map) on a 2k-gate design must be byte-identical at 1 and 4
-/// workers and with the SOP memo cache on or off.
+/// workers and with the SOP memo cache on or off; an engine whose memo is
+/// warm from another design must map it exactly as a fresh engine does,
+/// and must run no Espresso when the design repeats.
 int run_smoke(const std::shared_ptr<const CellLibrary>& lib) {
     std::printf("bench_synth_parallel --smoke\n");
     GeneratorConfig cfg;
@@ -57,10 +90,11 @@ int run_smoke(const std::shared_ptr<const CellLibrary>& lib) {
     cfg.num_gates = 2000;
     cfg.xor_fraction = 0.3;
     cfg.seed = 7;
-    const Aig aig = Aig::from_netlist(generate_random(lib, cfg)).cleanup();
+    const Netlist design = generate_random(lib, cfg);
+    const Aig aig = Aig::from_netlist(design).cleanup();
 
     bool ok = true;
-    std::string base_aig, base_mapped;
+    std::string base_aig, base_mapped, memo_off_mapped;
     RewriteStats base_stats;
     // (workers, memo cache): the first run is the reference.
     for (const auto& [workers, memo] : {std::pair{1, true}, {4, true}, {1, false}}) {
@@ -72,6 +106,7 @@ int run_smoke(const std::shared_ptr<const CellLibrary>& lib) {
         TechMapOptions mopts;
         mopts.workers = workers;
         const std::string mapped = netlist_to_string(tech_map(out, lib, mopts));
+        if (!memo) memo_off_mapped = mapped;
         if (base_aig.empty()) {
             base_aig = serialize(out);
             base_mapped = mapped;
@@ -90,12 +125,35 @@ int run_smoke(const std::shared_ptr<const CellLibrary>& lib) {
             ok = false;
         }
     }
+
+    // The engine's memo outlives each job: warm it on another design first.
+    FlowParams params;
+    params.optimize_rounds = 4;  // the rounds of the optimize() calls above
+    FlowEngine warm;
+    cfg.seed = 8;
+    (void)run_to_map(warm, generate_random(lib, cfg), params);
+    const EngineRun first = run_to_map(warm, design, params);
+    const EngineRun fresh = run_to_map(FlowEngine(), design, params);
+    const EngineRun repeat = run_to_map(warm, design, params);
+    if (first.mapped != fresh.mapped || first.mapped != memo_off_mapped) {
+        std::printf("FAIL: a warm engine maps differently from a fresh engine or "
+                    "the memo-off run\n");
+        ok = false;
+    }
+    if (repeat.espresso != 0) {
+        std::printf("FAIL: a repeated design ran %lld Espresso calls on a warm engine\n",
+                    static_cast<long long>(repeat.espresso));
+        ok = false;
+    }
+
     std::printf("%s: %zu -> %zu AND nodes, %llu cuts, %d replacements, %llu espresso "
-                "calls\n",
+                "calls (warm engine: %lld, repeated design: %lld)\n",
                 ok ? "PASS" : "FAIL", base_stats.nodes_before, base_stats.nodes_after,
                 static_cast<unsigned long long>(base_stats.cuts_evaluated),
                 base_stats.replacements,
-                static_cast<unsigned long long>(base_stats.espresso_calls));
+                static_cast<unsigned long long>(base_stats.espresso_calls),
+                static_cast<long long>(first.espresso),
+                static_cast<long long>(repeat.espresso));
     return ok ? 0 : 1;
 }
 
@@ -196,6 +254,72 @@ int main(int argc, char** argv) {
                 old_copy_work, old_copy_work / mffc_work);
     (void)sizes;
 
+    // --- one engine over never-repeated designs: the memo outlives jobs ---
+    // The synth_random e2e designs' shape, on seeds no other row uses. Each
+    // design runs cold (a fresh engine) and then warm (the shared engine,
+    // which has seen only the designs before it).
+    constexpr int kDistinct = 16;
+    GeneratorConfig dcfg;
+    dcfg.num_inputs = 128;
+    dcfg.num_outputs = 64;
+    dcfg.num_gates = 10000;
+    dcfg.xor_fraction = 0.3;
+    FlowEngine engine;
+    std::vector<double> cold_ms, warm_ms, cold_espresso, warm_espresso;
+    server::JsonValue per_design = server::JsonValue::array();
+    bool distinct_identical = true;
+    std::printf("\ndistinct designs through one engine (%zu gates each):\n"
+                "%7s %8s %8s %13s %13s %12s %9s\n",
+                dcfg.num_gates, "design", "cold_ms", "warm_ms", "cold_espresso",
+                "warm_espresso", "memo_entries", "memo_MiB");
+    for (int d = 0; d < kDistinct; ++d) {
+        dcfg.seed = 1000 + static_cast<std::uint64_t>(d);
+        const Netlist nl = generate_random(lib, dcfg);
+        const EngineRun cold = run_to_map(FlowEngine(), nl);
+        const EngineRun warm = run_to_map(engine, nl);
+        distinct_identical &= warm.mapped == cold.mapped;
+        const std::size_t bytes = engine.sop_memo().memory_bytes();
+        cold_ms.push_back(cold.optimize_ms);
+        warm_ms.push_back(warm.optimize_ms);
+        cold_espresso.push_back(static_cast<double>(cold.espresso));
+        warm_espresso.push_back(static_cast<double>(warm.espresso));
+        std::printf("%7d %8.0f %8.0f %13lld %13lld %12lld %9.1f\n", d, cold.optimize_ms,
+                    warm.optimize_ms, static_cast<long long>(cold.espresso),
+                    static_cast<long long>(warm.espresso),
+                    static_cast<long long>(warm.memo_entries),
+                    static_cast<double>(bytes) / (1024.0 * 1024.0));
+        server::JsonValue row = server::JsonValue::object();
+        row.set("cold_optimize_ms", cold.optimize_ms);
+        row.set("warm_optimize_ms", warm.optimize_ms);
+        row.set("cold_espresso", cold.espresso);
+        row.set("warm_espresso", warm.espresso);
+        row.set("memo_entries", warm.memo_entries);
+        row.set("memo_bytes", bytes);
+        per_design.push(std::move(row));
+    }
+    const double cold_median = median(cold_ms);
+    const double warm_median = median(warm_ms);
+    const std::size_t memo_entries = engine.sop_memo().size();
+    const std::size_t memo_bytes = engine.sop_memo().memory_bytes();
+    std::printf("median optimize: cold %.0f ms, warm %.0f ms (%.2fx); memo %zu entries, "
+                "%zu bytes (%.0f per entry)\n",
+                cold_median, warm_median, cold_median / warm_median, memo_entries,
+                memo_bytes, static_cast<double>(memo_bytes) / static_cast<double>(memo_entries));
+    {
+        server::JsonValue entry = server::JsonValue::object();
+        entry.set("designs", kDistinct);
+        entry.set("gates", dcfg.num_gates);
+        entry.set("cold_optimize_ms_median", cold_median);
+        entry.set("warm_optimize_ms_median", warm_median);
+        entry.set("warm_over_cold", warm_median / cold_median);
+        entry.set("cold_espresso_median", median(cold_espresso));
+        entry.set("warm_espresso_median", median(warm_espresso));
+        entry.set("memo_entries", memo_entries);
+        entry.set("memo_bytes", memo_bytes);
+        entry.set("per_design", std::move(per_design));
+        bench::write_json_entry("BENCH_synth.json", "synth_distinct_designs", entry);
+    }
+
     {
         server::JsonValue entry = server::JsonValue::object();
         entry.set("ands", aig.num_ands());
@@ -214,7 +338,8 @@ int main(int argc, char** argv) {
         entry.set("mffc_scratch_writes", mffc.scratch_writes);
         entry.set("mffc_old_copy_work", old_copy_work);
         bench::write_json_entry("BENCH_synth.json", "synth_parallel", entry);
-        std::printf("\nwrote BENCH_synth.json entry synth_parallel\n");
+        std::printf("\nwrote BENCH_synth.json entries synth_parallel and "
+                    "synth_distinct_designs\n");
     }
 
     std::printf("\npaper claim: the last decade's synthesis gains came with "
@@ -228,6 +353,11 @@ int main(int argc, char** argv) {
                            on_stats.espresso_calls < off_stats.espresso_calls);
     bench::shape_check("mffc incremental work < 1/10 of old refcount copies",
                        mffc_work < old_copy_work / 10.0);
+    bench::shape_check("warm engine maps never-seen designs byte-identically",
+                       distinct_identical);
+    bench::shape_check("warm-memo optimize on never-seen designs <= 1/2 of cold "
+                       "(median)",
+                       warm_median <= cold_median / 2.0);
     if (hw >= 4) {
         bench::shape_check("4 workers cut refactor wall time >= 2x",
                            serial_ms / four_ms >= 2.0);

@@ -10,6 +10,7 @@
 #include "janus/dft/scan.hpp"
 #include "janus/logic/aig.hpp"
 #include "janus/logic/aig_rewrite.hpp"
+#include "janus/logic/sop_cache.hpp"
 #include "janus/logic/tech_map.hpp"
 #include "janus/place/legalize.hpp"
 #include "janus/place/sa_place.hpp"
@@ -71,7 +72,7 @@ bool FlowContext::is_skipped(std::string_view stage_name) const {
 
 // ---------------------------------------------------------------- engine
 
-FlowEngine::FlowEngine() {
+FlowEngine::FlowEngine() : memo_(std::make_shared<SopCache>()) {
     const auto add = [this](std::string name,
                             std::function<bool(const FlowContext&)> applies,
                             std::function<void(FlowContext&)> run) {
@@ -82,18 +83,21 @@ FlowEngine::FlowEngine() {
     // Sequential designs are kept structurally (register boundaries are not
     // re-synthesized in this release), so optimize/map apply only to
     // combinational netlists.
+    // The stage captures the memo, not the engine, so engine copies share it.
     add("optimize",
         [](const FlowContext& ctx) { return !is_sequential(ctx); },
-        [](FlowContext& ctx) {
+        [memo = memo_](FlowContext& ctx) {
             ctx.aig = std::make_unique<Aig>(Aig::from_netlist(ctx.netlist));
             RewriteOptions ropts;
             ropts.workers = ctx.params.workers;
             RewriteStats rs;
-            *ctx.aig = optimize(*ctx.aig, ctx.params.optimize_rounds, ropts, &rs);
+            *ctx.aig = optimize(*ctx.aig, ctx.params.optimize_rounds, ropts, &rs,
+                                memo.get());
             ctx.trace.note("cuts", rs.cuts_evaluated);
             ctx.trace.note("memo_hits", rs.memo_hits);
             ctx.trace.note("memo_misses", rs.memo_misses);
             ctx.trace.note("espresso", rs.espresso_calls);
+            ctx.trace.note("memo_entries", memo->size());
             ctx.trace.note("replacements", rs.replacements);
             ctx.trace.note("workers", rs.workers);
         });
@@ -333,8 +337,9 @@ std::vector<FlowResult> FlowEngine::run_batch(
     std::vector<FlowJob> jobs, int workers,
     std::vector<StageTrace>* traces) const {
     // Jobs are independent by construction (each context owns its netlist;
-    // stages seed their own RNGs from params), so results indexed by job
-    // are bit-identical whatever the worker count or admission order.
+    // stages seed their own RNGs from params; the shared memo only returns
+    // pure covers), so results indexed by job are bit-identical whatever
+    // the worker count or admission order.
     FlowScheduler scheduler(*this, workers);
     std::vector<JobHandle> handles;
     handles.reserve(jobs.size());

@@ -33,6 +33,7 @@ namespace janus {
 
 class Aig;
 class FlowScheduler;
+class SopCache;
 
 /// All state one flow run threads through its stages. The input netlist is
 /// copied in (the caller's object is never touched — the old run_flow
@@ -100,7 +101,8 @@ struct FlowJob {
 
 class FlowEngine {
   public:
-    /// Builds the default pipeline (see file comment for stage order).
+    /// Builds the default pipeline (see file comment for stage order) with
+    /// an empty SOP memo.
     FlowEngine();
 
     const std::vector<FlowStage>& stages() const { return stages_; }
@@ -122,10 +124,11 @@ class FlowEngine {
     FlowResult run_to(FlowContext& ctx, std::string_view last_stage) const;
 
     /// Executes independent jobs on `workers` threads and returns results
-    /// in job order. Bit-identical to a serial run: jobs share no mutable
-    /// state and every stochastic stage is seeded from its own params, so
-    /// scheduling cannot leak into QoR. Per-run stage traces are returned
-    /// through `traces` (job order) when non-null.
+    /// in job order. Bit-identical to a serial run: the only state jobs
+    /// share is the engine's SOP memo, whose covers are pure functions of
+    /// their keys, and every stochastic stage is seeded from its own
+    /// params, so scheduling cannot leak into QoR. Per-run stage traces are
+    /// returned through `traces` (job order) when non-null.
     ///
     /// Thin wrapper over FlowScheduler (janus/server/scheduler.hpp): every
     /// job is moved into a JobHandle and waited for in order, so a caller
@@ -137,10 +140,17 @@ class FlowEngine {
     std::vector<FlowResult> run_batch(std::vector<FlowJob> jobs, int workers,
                                       std::vector<StageTrace>* traces = nullptr) const;
 
+    /// The SOP memo the `optimize` stage minimizes through: kept for every
+    /// job this engine runs, and shared by copies of the engine, so a cut
+    /// function is minimized once per engine, not once per job
+    /// (docs/SYNTH.md).
+    const SopCache& sop_memo() const { return *memo_; }
+
   private:
     friend class FlowScheduler;  ///< runs jobs via run_until without copies
     FlowResult run_until(FlowContext& ctx, std::size_t end_stage) const;
 
+    std::shared_ptr<SopCache> memo_;
     std::vector<FlowStage> stages_;
 };
 

@@ -1,7 +1,7 @@
 #include "janus/logic/aig_rewrite.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,7 +34,7 @@ int sop_node_estimate(const Cover& cov) {
 
 /// Pure per-cut evaluation: both phases minimized through the memo cache,
 /// then the cheaper phase chosen with the deterministic tie-break.
-CutEval evaluate_cut(const TruthTable& tt, SopCache& cache) {
+CutEval evaluate_cut(const TruthTable& tt, SopCache& cache, SopCache::Stats& tally) {
     CutEval e;
     if (tt.is_constant(false)) {
         e.const0 = true;
@@ -47,8 +47,8 @@ CutEval evaluate_cut(const TruthTable& tt, SopCache& cache) {
     // Both phases are read in place from the memo; only the chosen one is
     // copied out.
     Cover on_scratch, off_scratch;
-    const Cover& on = cache.minimized(tt, on_scratch);
-    const Cover& off = cache.minimized(~tt, off_scratch);
+    const Cover& on = cache.minimized(tt, on_scratch, tally);
+    const Cover& off = cache.minimized(~tt, off_scratch, tally);
     e.use_off = sop_prefers_off_phase(on, off);
     e.cover = e.use_off ? off : on;
     e.est_nodes = sop_node_estimate(e.cover);
@@ -138,12 +138,8 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
     MffcStats mffc_stats;
     const std::vector<int> mffc = mffc_sizes(aig, &mffc_stats);
 
-    std::unique_ptr<SopCache> local_cache;
-    if (!cache) {
-        local_cache = std::make_unique<SopCache>(opts.use_sop_cache);
-        cache = local_cache.get();
-    }
-    const SopCache::Stats cache_before = cache->stats();
+    std::optional<SopCache> local_cache;
+    if (!cache) cache = &local_cache.emplace(opts.use_sop_cache);
 
     Aig out;
     std::vector<AigLit> remap(aig.num_nodes(), 0);
@@ -155,6 +151,9 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
     std::vector<CutConeEvaluator> evaluators;
     evaluators.reserve(team.slots());
     for (std::size_t s = 0; s < team.slots(); ++s) evaluators.emplace_back(aig);
+    // The cache may be shared with other passes and jobs, so this pass
+    // counts its own queries, one tally per slot.
+    std::vector<SopCache::Stats> tallies(team.slots());
 
     std::uint64_t cuts_evaluated = 0;
     int replacements = 0;
@@ -179,8 +178,8 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
                     evals.emplace_back();  // placeholder keeps indices aligned
                     continue;
                 }
-                evals.push_back(
-                    evaluate_cut(evaluators[slot].evaluate(n, cut), *cache));
+                evals.push_back(evaluate_cut(evaluators[slot].evaluate(n, cut),
+                                             *cache, tallies[slot]));
             }
         });
 
@@ -241,15 +240,19 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
     }
     Aig cleaned = out.cleanup();
     if (stats) {
-        const SopCache::Stats cache_after = cache->stats();
+        SopCache::Stats memo;
+        for (const SopCache::Stats& t : tallies) {
+            memo.hits += t.hits;
+            memo.misses += t.misses;
+            memo.espresso_calls += t.espresso_calls;
+        }
         stats->nodes_before = aig.num_ands();
         stats->nodes_after = cleaned.num_ands();
         stats->replacements = replacements;
         stats->cuts_evaluated = cuts_evaluated;
-        stats->memo_hits = cache_after.hits - cache_before.hits;
-        stats->memo_misses = cache_after.misses - cache_before.misses;
-        stats->espresso_calls =
-            cache_after.espresso_calls - cache_before.espresso_calls;
+        stats->memo_hits = memo.hits;
+        stats->memo_misses = memo.misses;
+        stats->espresso_calls = memo.espresso_calls;
         stats->mffc_cone_visits = mffc_stats.cone_visits;
         stats->workers = workers;
     }
@@ -257,14 +260,15 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
 }
 
 Aig optimize(const Aig& aig, int rounds, const RewriteOptions& opts,
-             RewriteStats* stats) {
+             RewriteStats* stats, SopCache* cache) {
     const auto better = [](const Aig& a, const Aig& b) {
         return a.num_ands() < b.num_ands() ||
                (a.num_ands() == b.num_ands() && a.depth() < b.depth());
     };
     // One memo cache across all rounds: later rounds re-minimize mostly
     // functions the first round already materialized.
-    SopCache cache(opts.use_sop_cache);
+    std::optional<SopCache> local_cache;
+    if (!cache) cache = &local_cache.emplace(opts.use_sop_cache);
     if (stats) {
         *stats = RewriteStats{};
         stats->nodes_before = aig.num_ands();
@@ -281,7 +285,7 @@ Aig optimize(const Aig& aig, int rounds, const RewriteOptions& opts,
             improved = true;
         }
         RewriteStats round_stats;
-        Aig candidate = balance(refactor(best, opts, &round_stats, &cache));
+        Aig candidate = balance(refactor(best, opts, &round_stats, cache));
         if (stats) {
             stats->replacements += round_stats.replacements;
             stats->cuts_evaluated += round_stats.cuts_evaluated;

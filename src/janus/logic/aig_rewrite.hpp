@@ -12,7 +12,8 @@
 /// WorkerTeam against the frozen input AIG, while candidate construction
 /// and best-replacement commits stay serial in level order. Output is
 /// byte-identical for any worker count and with the SOP memo cache on or
-/// off (the same contract the place, route and timing workers carry).
+/// off, cold or warm (the same contract the place, route and timing
+/// workers carry).
 
 #include <cstdint>
 
@@ -41,8 +42,11 @@ struct RewriteStats {
     std::size_t nodes_after = 0;
     int replacements = 0;
     std::uint64_t cuts_evaluated = 0;   ///< non-trivial cuts minimized + costed
-    std::uint64_t memo_hits = 0;        ///< SOP cache hits
-    std::uint64_t memo_misses = 0;      ///< unique functions materialized
+    /// This call's own SOP cache queries (SopCache::Stats), even when the
+    /// cache is shared: hits + espresso_calls is the query count, fixed
+    /// for a given input whatever the cache held before.
+    std::uint64_t memo_hits = 0;        ///< answered from the cache
+    std::uint64_t memo_misses = 0;      ///< entries added (SopCache::Stats)
     std::uint64_t espresso_calls = 0;   ///< minimizations actually executed
     std::uint64_t mffc_cone_visits = 0; ///< total MFFC trial-deref work
     int workers = 1;
@@ -67,10 +71,12 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts = {},
 
 /// Full optimization script: iterated balance + refactor until the node
 /// count stops improving (at most `rounds` rounds). One SOP memo cache is
-/// shared across all rounds; `stats` (optional) accumulates the per-round
+/// shared across all rounds: `cache` when given (FlowEngine passes the memo
+/// it keeps for all its jobs), otherwise a private one honouring
+/// opts.use_sop_cache. `stats` (optional) accumulates the per-round
 /// refactoring counters.
 Aig optimize(const Aig& aig, int rounds = 4, const RewriteOptions& opts = {},
-             RewriteStats* stats = nullptr);
+             RewriteStats* stats = nullptr, SopCache* cache = nullptr);
 
 /// Size of each node's maximum fanout-free cone (number of AND nodes that
 /// become dead if the node is removed), indexed by node id. Incremental:

@@ -1,5 +1,7 @@
 #include "janus/logic/sop_cache.hpp"
 
+#include <utility>
+
 #include "janus/logic/espresso.hpp"
 
 namespace janus {
@@ -24,26 +26,15 @@ std::size_t SopCache::KeyHash::operator()(const TruthTable& tt) const {
     return static_cast<std::size_t>(h);
 }
 
-const Cover& SopCache::minimized(const TruthTable& tt, Cover& scratch) {
+const Cover& SopCache::minimized(const TruthTable& tt, Cover& scratch,
+                                 Stats& tally) {
     Shard& shard = shards_[KeyHash{}(tt) % kShards];
-
-    if (!enabled_) {
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            ++shard.stats.queries;
-            ++shard.stats.misses;
-            ++shard.stats.espresso_calls;
-        }
-        scratch = espresso(Cover::from_truth_table(tt)).cover;
-        return scratch;
-    }
-
-    {
+    ++tally.queries;
+    if (enabled_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        ++shard.stats.queries;
         const auto it = shard.map.find(tt);
         if (it != shard.map.end()) {
-            ++shard.stats.hits;
+            ++tally.hits;
             return it->second;
         }
     }
@@ -51,24 +42,19 @@ const Cover& SopCache::minimized(const TruthTable& tt, Cover& scratch) {
     // serialize behind Espresso. A racing thread may duplicate the work;
     // the first insert wins and both results are identical anyway.
     Cover cover = espresso(Cover::from_truth_table(tt)).cover;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.stats.espresso_calls;
-    const auto [it, inserted] = shard.map.emplace(tt, std::move(cover));
-    if (inserted) ++shard.stats.misses;
-    // Map nodes never move, so the reference outlives the lock.
-    return it->second;
-}
-
-SopCache::Stats SopCache::stats() const {
-    Stats total;
-    for (const Shard& shard : shards_) {
+    ++tally.espresso_calls;
+    if (enabled_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
-        total.queries += shard.stats.queries;
-        total.hits += shard.stats.hits;
-        total.misses += shard.stats.misses;
-        total.espresso_calls += shard.stats.espresso_calls;
+        if (shard.map.size() < kShardCapacity) {
+            const auto [it, inserted] = shard.map.emplace(tt, std::move(cover));
+            if (inserted) ++tally.misses;
+            // Map nodes never move, so the reference outlives the lock.
+            return it->second;
+        }
     }
-    return total;
+    ++tally.misses;
+    scratch = std::move(cover);
+    return scratch;
 }
 
 std::size_t SopCache::size() const {
@@ -78,6 +64,24 @@ std::size_t SopCache::size() const {
         n += shard.map.size();
     }
     return n;
+}
+
+std::size_t SopCache::memory_bytes() const {
+    // A node holds the next pointer, the entry and the cached hash. The
+    // heap words of keys and cubes wider than one inline word are left
+    // out; refactoring cuts never have them.
+    constexpr std::size_t kNodeBytes = sizeof(void*) +
+                                       sizeof(std::pair<const TruthTable, Cover>) +
+                                       sizeof(std::size_t);
+    std::size_t bytes = 0;
+    for (const Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        bytes += shard.map.bucket_count() * sizeof(void*);
+        for (const auto& entry : shard.map) {
+            bytes += kNodeBytes + entry.second.cubes().capacity() * sizeof(Cube);
+        }
+    }
+    return bytes;
 }
 
 }  // namespace janus

@@ -1,8 +1,10 @@
 #pragma once
 /// \file analytic_place.hpp
-/// Global placement: quadratic (clique-model) wirelength minimization
-/// solved by Gauss-Seidel, followed by bin-based spreading to resolve
-/// density. This is the throughput path used for large designs (E5).
+/// Global placement: quadratic wirelength minimization over a star net
+/// model, solved per axis by Jacobi-preconditioned conjugate gradients,
+/// alternated with spreading by recursive median bisection and anchored
+/// re-solves (SimPL style). This is the throughput path used for large
+/// designs (E5).
 
 #include <cstdint>
 
@@ -27,7 +29,6 @@ PlacementArea make_placement_area(const Netlist& nl, const TechnologyNode& node,
 struct AnalyticPlaceOptions {
     int solver_iterations = 300;  // CG iterations (cheap; long meshes need hundreds)
     int spreading_iterations = 12;
-    std::size_t density_bins = 16;  ///< bins per axis for spreading
     std::uint64_t seed = 1;
 };
 

@@ -14,10 +14,11 @@
 /// FlowResult carries the exception text in `error` — sibling jobs and the
 /// pool itself are never poisoned, and the scheduler drains cleanly.
 ///
-/// Determinism: jobs share no mutable state (each owns its netlist copy
-/// and seeds its own RNG streams), so results are byte-identical for any
-/// worker count and any admission order — priority changes *when* a job
-/// runs, never *what* it computes.
+/// Determinism: each job owns its netlist copy and seeds its own RNG
+/// streams, and the only state jobs share is the engine's SOP memo, whose
+/// covers are pure functions of their keys, so results are byte-identical
+/// for any worker count and any admission order — priority changes *when*
+/// a job runs, never *what* it computes.
 
 #include <cstddef>
 #include <functional>

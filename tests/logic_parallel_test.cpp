@@ -3,7 +3,8 @@
 // for any worker count and with the SOP memo cache on or off. Builds
 // as its own binary (like flow_engine_test / timing_graph_test) so `ctest
 // -R LogicParallel` under -DJANUS_TSAN=ON race-checks the concurrent cut
-// enumeration, cut evaluation, memo cache, and matching sweeps.
+// enumeration, cut evaluation, memo cache, and matching sweeps, and batch
+// jobs sharing one engine's memo.
 
 #include <gtest/gtest.h>
 
@@ -254,22 +255,22 @@ TEST(SopCache, MemoizesExactEspressoResult) {
     }
     const Cover direct = espresso(Cover::from_truth_table(tt)).cover;
     Cover scratch;
-    const Cover& first = cache.minimized(tt, scratch);
-    const Cover& again = cache.minimized(tt, scratch);
+    SopCache::Stats stats;
+    const Cover& first = cache.minimized(tt, scratch, stats);
+    const Cover& again = cache.minimized(tt, scratch, stats);
     EXPECT_EQ(first.to_truth_table(), direct.to_truth_table());
     EXPECT_EQ(first.size(), direct.size());
     EXPECT_EQ(first.num_literals(), direct.num_literals());
     // Both queries read the one memoized entry in place.
     EXPECT_EQ(&again, &first);
     EXPECT_NE(&first, &scratch);
-    const auto stats = cache.stats();
     EXPECT_EQ(stats.queries, 2u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.espresso_calls, 1u);
     EXPECT_EQ(cache.size(), 1u);
     // The OFF phase is just the ON cover of the complement: a second entry.
-    (void)cache.minimized(~tt, scratch);
+    (void)cache.minimized(~tt, scratch, stats);
     EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -277,14 +278,54 @@ TEST(SopCache, DisabledCacheCountsButStoresNothing) {
     SopCache cache(false);
     const TruthTable tt = TruthTable::variable(3, 1);
     Cover scratch;
-    EXPECT_EQ(&cache.minimized(tt, scratch), &scratch);
+    SopCache::Stats stats;
+    EXPECT_EQ(&cache.minimized(tt, scratch, stats), &scratch);
     EXPECT_EQ(scratch.to_truth_table(), tt);
-    EXPECT_EQ(&cache.minimized(tt, scratch), &scratch);
-    const auto stats = cache.stats();
+    EXPECT_EQ(&cache.minimized(tt, scratch, stats), &scratch);
     EXPECT_EQ(stats.queries, 2u);
     EXPECT_EQ(stats.hits, 0u);
     EXPECT_EQ(stats.espresso_calls, 2u);
     EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SopCache, FullCacheStoresNothingMoreAndStaysExact) {
+    // Sparse 6-variable functions (AND of four random words: ~4 ON
+    // minterms) are cheap to minimize and far more numerous than the cap.
+    Rng rng(17);
+    const auto sparse = [&rng] {
+        std::uint64_t w = ~0ull;
+        for (int i = 0; i < 4; ++i) w &= rng.next_u64();
+        return TruthTable::from_words(6, {&w, 1});
+    };
+    SopCache cache;
+    SopCache::Stats stats;
+    Cover scratch;
+    const TruthTable early_tt = sparse();
+    const Cover& early = cache.minimized(early_tt, scratch, stats);
+    const TruthTable early_cover = early.to_truth_table();
+    while (cache.size() < SopCache::kCapacity) {
+        for (int i = 0; i < 1024; ++i) (void)cache.minimized(sparse(), scratch, stats);
+    }
+    EXPECT_EQ(cache.size(), SopCache::kCapacity);
+
+    // Past the cap a miss is minimized into scratch, exactly, and not stored.
+    int unstored = 0;
+    for (int i = 0; i < 256; ++i) {
+        const TruthTable tt = sparse();
+        const std::uint64_t hits = stats.hits;
+        const Cover& got = cache.minimized(tt, scratch, stats);
+        if (stats.hits != hits) continue;  // stored before the cap was hit
+        ++unstored;
+        EXPECT_EQ(&got, &scratch);
+        const Cover direct = espresso(Cover::from_truth_table(tt)).cover;
+        EXPECT_EQ(got.cubes(), direct.cubes());
+    }
+    EXPECT_GT(unstored, 128);
+    EXPECT_EQ(cache.size(), SopCache::kCapacity);
+    // An entry handed out before the cap is still there, in place.
+    EXPECT_EQ(&cache.minimized(early_tt, scratch, stats), &early);
+    EXPECT_EQ(early.to_truth_table(), early_cover);
+    EXPECT_EQ(stats.hits + stats.espresso_calls, stats.queries);
 }
 
 TEST(SopCache, PhaseTieBreakPrefersOnPhase) {
@@ -292,9 +333,10 @@ TEST(SopCache, PhaseTieBreakPrefersOnPhase) {
     // tie, which must deterministically keep the ON-phase.
     const TruthTable x = TruthTable::variable(2, 0) ^ TruthTable::variable(2, 1);
     SopCache cache;
+    SopCache::Stats stats;
     Cover on_scratch, off_scratch;
-    const Cover& on = cache.minimized(x, on_scratch);
-    const Cover& off = cache.minimized(~x, off_scratch);
+    const Cover& on = cache.minimized(x, on_scratch, stats);
+    const Cover& off = cache.minimized(~x, off_scratch, stats);
     ASSERT_EQ(on.size() * 4 + static_cast<std::size_t>(on.num_literals()),
               off.size() * 4 + static_cast<std::size_t>(off.num_literals()));
     EXPECT_FALSE(sop_prefers_off_phase(on, off));
@@ -451,6 +493,8 @@ TEST(FlowSynth, OptimizeAndMapStagesEmitDetail) {
     EXPECT_NE(opt_entry.find_note("cuts"), nullptr);
     EXPECT_NE(opt_entry.find_note("memo_hits"), nullptr);
     EXPECT_NE(opt_entry.find_note("espresso"), nullptr);
+    EXPECT_EQ(opt_entry.note_int("memo_entries"),
+              static_cast<std::int64_t>(engine.sop_memo().size()));
     EXPECT_EQ(opt_entry.note_int("workers"), 2);
     EXPECT_EQ(map_entry.stage, "map");
     EXPECT_NE(map_entry.find_note("cuts"), nullptr);
@@ -458,6 +502,63 @@ TEST(FlowSynth, OptimizeAndMapStagesEmitDetail) {
     EXPECT_EQ(map_entry.note_int("workers"), 2);
 }
 
+// The engine keeps one SOP memo for all its jobs. Concurrent batch jobs
+// share it, and each still reports its own queries: hits + Espresso calls
+// (the query count) and the mapped netlist match a fresh engine's, and
+// every function is added once across the batch. A repeated design on the
+// warm engine then runs no Espresso at all.
+TEST(FlowSynth, EngineMemoIsSharedAcrossJobs) {
+    GeneratorConfig cfg;
+    cfg.num_inputs = 32;
+    cfg.num_outputs = 16;
+    cfg.num_gates = 2000;
+    cfg.xor_fraction = 0.3;
+    cfg.seed = 1;
+    const Netlist nl = generate_random(lib28(), cfg);
+    const auto node = *find_node("28nm");
+    const FlowParams params;
+
+    FlowEngine fresh;
+    FlowContext ref(nl, node, params);
+    fresh.run_to(ref, "map");
+    const StageTraceEntry& ref_opt = ref.trace.entries.at(0);
+    ASSERT_EQ(ref_opt.stage, "optimize");
+    const std::string ref_mapped = netlist_to_string(ref.netlist);
+    const std::int64_t ref_queries =
+        ref_opt.note_int("memo_hits") + ref_opt.note_int("espresso");
+    EXPECT_EQ(ref_opt.note_int("memo_entries"), ref_opt.note_int("memo_misses"));
+
+    FlowEngine engine;
+    FlowJob job{nl, node, params};
+    for (std::size_t s = engine.stage_index("map") + 1; s < engine.stages().size(); ++s) {
+        job.skip_stages.push_back(engine.stages()[s].name);
+    }
+    std::vector<StageTrace> traces;
+    const std::vector<FlowResult> results =
+        engine.run_batch(std::vector<FlowJob>(4, job), 4, &traces);
+    std::int64_t added = 0;
+    for (std::size_t j = 0; j < results.size(); ++j) {
+        SCOPED_TRACE("job " + std::to_string(j));
+        ASSERT_FALSE(results[j].failed()) << results[j].error;
+        EXPECT_EQ(netlist_to_string(*results[j].mapped), ref_mapped);
+        const StageTraceEntry& opt = traces[j].entries.at(0);
+        ASSERT_EQ(opt.stage, "optimize");
+        EXPECT_EQ(opt.note_int("memo_hits") + opt.note_int("espresso"), ref_queries);
+        EXPECT_EQ(opt.note_int("cuts"), ref_opt.note_int("cuts"));
+        added += opt.note_int("memo_misses");
+    }
+    EXPECT_EQ(added, ref_opt.note_int("memo_misses"));
+    EXPECT_EQ(engine.sop_memo().size(), fresh.sop_memo().size());
+
+    FlowContext again(nl, node, params);
+    engine.run_to(again, "map");
+    const StageTraceEntry& opt = again.trace.entries.at(0);
+    EXPECT_EQ(opt.note_int("espresso"), 0);
+    EXPECT_EQ(opt.note_int("memo_misses"), 0);
+    EXPECT_EQ(opt.note_int("memo_hits"), ref_queries);
+    EXPECT_EQ(opt.note_int("memo_entries"), ref_opt.note_int("memo_entries"));
+    EXPECT_EQ(netlist_to_string(again.netlist), ref_mapped);
+}
 
 // Output pinned to recorded values: the identity tests above compare
 // worker counts within one build, so a kernel change that alters the
