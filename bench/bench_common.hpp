@@ -32,8 +32,11 @@ inline void banner(const char* id, const char* claimant, const char* claim) {
     std::printf("==============================================================\n");
 }
 
-inline void shape_check(const char* what, bool ok) {
+/// Prints one check line and returns `ok`, so a bench can gate its exit
+/// code on the checks that must hold.
+inline bool shape_check(const char* what, bool ok) {
     std::printf("SHAPE CHECK [%s]: %s\n", ok ? "PASS" : "FAIL", what);
+    return ok;
 }
 
 /// Resolves a bare bench-file name (no directory part) to the repo root, so

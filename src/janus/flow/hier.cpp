@@ -7,7 +7,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "janus/server/scheduler.hpp"
 #include "janus/timing/sta.hpp"
@@ -15,6 +14,15 @@
 
 namespace janus {
 namespace {
+
+/// Greedy boundary sweeps after the initial id-order partition.
+constexpr int kRefinePasses = 6;
+/// Allowed block-size imbalance: a move is rejected when it would push a
+/// block above (1 + kBalanceSlack) * average size.
+constexpr double kBalanceSlack = 0.10;
+/// Spacing between adjacent block slots in the merged floorplan, as a
+/// fraction of the widest block dimension.
+constexpr double kFloorplanMargin = 0.05;
 
 /// Blocks of every pin on a net (driver instance + instance sinks),
 /// excluding `skip`. Returns false when the net has no other instance pin.
@@ -52,8 +60,7 @@ std::size_t count_cut_nets(const Netlist& nl, const std::vector<int>& block_of) 
 
 }  // namespace
 
-HierPartition partition_min_cut(const Netlist& nl, int num_blocks,
-                                int refine_passes, double balance_slack) {
+HierPartition partition_min_cut(const Netlist& nl, int num_blocks) {
     const std::size_t n = nl.num_instances();
     const int k = std::max(1, num_blocks);
     HierPartition part;
@@ -70,14 +77,14 @@ HierPartition partition_min_cut(const Netlist& nl, int num_blocks,
 
     const double avg = static_cast<double>(n) / k;
     const auto max_size =
-        static_cast<std::size_t>(std::ceil(avg * (1.0 + balance_slack)));
+        static_cast<std::size_t>(std::ceil(avg * (1.0 + kBalanceSlack)));
 
     // Greedy FM-lite sweeps: move an instance to its best-connected block
     // when that strictly lowers the number of incident nets kept whole in a
     // foreign block vs. the home block. Deterministic: fixed id-order
     // sweep, first-best tie-break, no randomness.
     std::vector<int> conn(static_cast<std::size_t>(k), 0);
-    for (int pass = 0; pass < refine_passes; ++pass) {
+    for (int pass = 0; pass < kRefinePasses; ++pass) {
         std::size_t moves = 0;
         for (InstId i = 0; i < n; ++i) {
             const int home = part.block_of[i];
@@ -172,8 +179,8 @@ std::vector<BlockSlice> slice_blocks(const Netlist& top, const HierPartition& pa
 }
 
 /// Builds block `b` as a standalone netlist. Cut nets become block PIs /
-/// POs under the flat design's net name (the stitch key). `net_map` (flat
-/// net -> block net) is all kNoNet on entry and is left that way.
+/// POs under the flat design's net name. `net_map` (flat net -> block net)
+/// is all kNoNet on entry and is left that way.
 Netlist build_block(const Netlist& top, const BlockSlice& slice, int b,
                     std::vector<NetId>& net_map) {
     Netlist sub(top.library_ptr(), top.name() + "__b" + std::to_string(b));
@@ -216,194 +223,72 @@ Netlist build_block(const Netlist& top, const BlockSlice& slice, int b,
     return sub;
 }
 
-/// Rebuilds the top netlist from the implemented blocks, joining boundary
-/// nets by name. Blocks are added in block order with their block-local
-/// positions; finish() offsets each block into its floorplan slot, whose
-/// size depends on the largest block. A name two nets share is reported by
-/// finish(), so that the caller can let a failed block take precedence.
-class Stitch {
-  public:
-    explicit Stitch(const Netlist& top)
-        : top_(top), merged_(std::make_shared<Netlist>(top.library_ptr(), top.name())) {
-        for (const NetId pi : top_.primary_inputs()) {
-            const std::string name = top_.net_name(pi);
-            join(name, merged_->add_primary_input(name));
-        }
+/// Writes block `bn`'s placement and cell choice back onto the flat
+/// instances it was built from (block instance j is `insts[j]`) and returns
+/// the block's placement extent. Block jobs skip optimize and map and Scan
+/// is rejected, so a block keeps its instances one for one, and sizing may
+/// only swap a cell for another of the same function.
+Rect write_back(const Netlist& bn, const std::vector<InstId>& insts, Netlist& merged) {
+    if (bn.num_instances() != insts.size()) {
+        throw std::logic_error("hier: block " + bn.name() + " came back with " +
+                               std::to_string(bn.num_instances()) + " instances, not " +
+                               std::to_string(insts.size()));
     }
-
-    /// Copies one implemented block into the merged netlist. Its instances
-    /// take the next contiguous range of merged ids.
-    void add_block(const Netlist& bn) {
-        const auto first = static_cast<InstId>(merged_->num_instances());
-        first_inst_.push_back(first);
-        Rect extent;
-        std::vector<NetId> bmap(bn.num_nets(), kNoNet);
-        std::vector<NetId> fanins;
-        for (InstId i = 0; i < bn.num_instances(); ++i) {
-            const Instance& inst = bn.instance(i);
-            fanins.assign(static_cast<std::size_t>(function_arity(bn.type_of(i).function)),
-                          kNoNet);
-            for (std::size_t p = 0; p < fanins.size(); ++p) {
-                if (inst.fanin[p] != kNoNet) fanins[p] = bmap[inst.fanin[p]];
-            }
-            Instance& minst = merged_->instance(
-                merged_->add_instance(bn.instance_name(i), inst.type, fanins));
-            bmap[inst.output] = minst.output;
-            minst.placed = inst.placed;
-            if (inst.placed) {
-                minst.position = inst.position;
-                extent = bounding_box(extent, Rect(inst.position, inst.position));
-            }
+    Rect extent;
+    for (InstId j = 0; j < insts.size(); ++j) {
+        if (bn.type_of(j).function != merged.type_of(insts[j]).function) {
+            throw std::logic_error("hier: block instance " +
+                                   std::string(bn.instance_name(j)) +
+                                   " came back with another cell function");
         }
-        extents_.push_back(extent);
-
-        // Intra-block deferred pins; boundary pins go to the name queue.
-        for (InstId i = 0; i < bn.num_instances(); ++i) {
-            const int arity = function_arity(bn.type_of(i).function);
-            for (int p = 0; p < arity; ++p) {
-                const NetId f = bn.instance(i).fanin[static_cast<std::size_t>(p)];
-                if (f == kNoNet ||
-                    merged_->instance(first + i).fanin[static_cast<std::size_t>(p)] != kNoNet) {
-                    continue;
-                }
-                if (bmap[f] != kNoNet) {
-                    merged_->connect_input(first + i, p, bmap[f]);
-                } else {
-                    pending_.push_back(PendingPin{first + i, p, bn.net_name(f)});
-                }
-            }
-        }
-        // Block jobs skip optimize and map, so every block PO is still
-        // the output of the block instance build_block gave it.
-        for (const auto& [po_name, po_net] : bn.primary_outputs()) {
-            if (bmap[po_net] == kNoNet) {
-                throw std::logic_error("hier: block output \"" + po_name +
-                                       "\" has no driving block instance");
-            }
-            join(po_name, bmap[po_net]);
-        }
+        const Instance& bi = bn.instance(j);
+        Instance& mi = merged.instance(insts[j]);
+        mi.type = bi.type;
+        mi.placed = bi.placed;
+        mi.position = bi.position;
+        if (bi.placed) extent = bounding_box(extent, Rect(bi.position, bi.position));
     }
-
-    /// Resolves the name joins, places every block in its floorplan slot
-    /// and validates the result. Records the slots and the stitched-net
-    /// count in `out`.
-    std::shared_ptr<Netlist> finish(double floorplan_margin, HierFlowResult& out) {
-        if (!shared_name_.empty()) {
-            throw std::runtime_error("hier: net name \"" + shared_name_ +
-                                     "\" is not unique while stitching " + top_.name());
-        }
-
-        for (const PendingPin& pp : pending_) {
-            const auto it = boundary_.find(pp.net);
-            if (it == boundary_.end()) {
-                throw std::runtime_error("hier: unresolved boundary net \"" + pp.net +
-                                         "\" while stitching " + top_.name());
-            }
-            merged_->connect_input(pp.inst, pp.pin, it->second);
-        }
-        for (const auto& [po_name, po_net] : top_.primary_outputs()) {
-            const auto it = boundary_.find(top_.net_name(po_net));
-            if (it == boundary_.end()) {
-                throw std::runtime_error("hier: top output \"" + po_name +
-                                         "\" lost its boundary net while stitching");
-            }
-            merged_->add_primary_output(po_name, it->second);
-        }
-
-        // Floorplan: blocks tiled on a ceil(sqrt(K)) grid of uniform slots
-        // sized by the largest block extent (positions are nm).
-        const std::size_t k = extents_.size();
-        const auto cols = static_cast<std::int64_t>(
-            std::ceil(std::sqrt(static_cast<double>(k))));
-        std::int64_t max_w = 1, max_h = 1;
-        for (const Rect& e : extents_) {
-            max_w = std::max(max_w, e.width());
-            max_h = std::max(max_h, e.height());
-        }
-        const auto margin = static_cast<std::int64_t>(
-            floorplan_margin * static_cast<double>(std::max(max_w, max_h)));
-        const std::int64_t slot_w = max_w + std::max<std::int64_t>(margin, 1);
-        const std::int64_t slot_h = max_h + std::max<std::int64_t>(margin, 1);
-        first_inst_.push_back(static_cast<InstId>(merged_->num_instances()));
-        for (std::size_t b = 0; b < k; ++b) {
-            const Rect& e = extents_[b];
-            const auto sb = static_cast<std::int64_t>(b);
-            const Point slot{(sb % cols) * slot_w, (sb / cols) * slot_h};
-            out.blocks[b].placement = Rect{slot, {slot.x + e.width(), slot.y + e.height()}};
-            const Point offset{slot.x - (e.empty() ? 0 : e.lo.x),
-                               slot.y - (e.empty() ? 0 : e.lo.y)};
-            for (InstId i = first_inst_[b]; i < first_inst_[b + 1]; ++i) {
-                Instance& inst = merged_->instance(i);
-                if (inst.placed) {
-                    inst.position = Point{inst.position.x + offset.x,
-                                          inst.position.y + offset.y};
-                }
-            }
-        }
-
-        const auto problems = merged_->validate();
-        if (!problems.empty()) {
-            throw std::runtime_error("hier: stitched netlist invalid: " + problems.front());
-        }
-        out.stitched_nets = boundary_.size() - top_.primary_inputs().size();
-        return merged_;
-    }
-
-  private:
-    struct PendingPin {
-        InstId inst;
-        int pin;
-        std::string net;
-    };
-
-    // The join is by printable name, so a name two nets share would
-    // silently merge them; the first such name is kept for finish().
-    void join(const std::string& name, NetId net) {
-        if (!boundary_.emplace(name, net).second && shared_name_.empty()) {
-            shared_name_ = name;
-        }
-    }
-
-    const Netlist& top_;
-    std::shared_ptr<Netlist> merged_;
-    std::unordered_map<std::string, NetId> boundary_;
-    std::vector<PendingPin> pending_;
-    std::vector<InstId> first_inst_;  ///< first merged instance id per block
-    std::vector<Rect> extents_;       ///< block-local placement extent per block
-    std::string shared_name_;         ///< first name two nets share
-};
+    return extent;
+}
 
 }  // namespace
 
 HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
                              const HierParams& params) {
     const auto t0 = std::chrono::steady_clock::now();
-    // Scan insertion would give each sequential block scan ports that have
-    // no net in the flat design, so the stitch could never join them.
+    // Scan insertion would give each sequential block scan ports and cells
+    // that the flat design does not have.
     if (params.block_flow.enabled(FlowStageMask::Scan)) {
         throw std::invalid_argument(
             "HierParams: block_flow.stages must not include Scan; scan "
             "chains cannot be stitched across blocks");
     }
+    // The merged design is the input, so the input is checked once here,
+    // before any block runs.
+    if (const auto problems = nl.validate(); !problems.empty()) {
+        throw std::invalid_argument("hier: input netlist invalid: " + problems.front());
+    }
     HierFlowResult out;
     const int k = std::max(1, params.num_blocks);
 
-    const HierPartition part = partition_min_cut(
-        nl, k, params.refine_passes, params.balance_slack);
+    const HierPartition part = partition_min_cut(nl, k);
     out.cut_nets = part.cut_nets;
     std::vector<BlockSlice> slices = slice_blocks(nl, part);
-
-    Stitch stitch(nl);
+    for (const BlockSlice& s : slices) out.boundary_nets += s.outputs.size();
+    // Copied after slicing, so the copy carries the warm sinks() cache that
+    // top STA reads.
+    auto merged = std::make_shared<Netlist>(nl);
 
     // The block stream. Each block netlist is built on this thread (the
     // flat design's lazy sinks() cache must not be warmed from several
-    // threads) just before it is queued, stitched in block order once it
-    // finishes, and freed right after: at most workers + 1 blocks are
+    // threads) just before it is queued, written back in block order once
+    // it finishes, and freed right after: at most workers + 1 blocks are
     // alive at any time. Block results are byte-identical for any worker
-    // count, and partition, extraction and stitch are serial, so the whole
-    // hier flow inherits the contract.
+    // count, and partition, extraction and write-back are serial, so the
+    // whole hier flow inherits the contract.
     const int workers = std::max(1, params.workers);
     out.blocks.resize(static_cast<std::size_t>(k));
+    std::vector<Rect> extents(static_cast<std::size_t>(k));
     bool block_failed = false;
     {
         FlowEngine engine;
@@ -413,36 +298,61 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
         int next = 0;
         for (int b = 0; b < k; ++b) {
             for (; next < k && in_flight.size() <= static_cast<std::size_t>(workers); ++next) {
-                BlockSlice& slice = slices[static_cast<std::size_t>(next)];
-                FlowJob job{build_block(nl, slice, next, net_map), node, params.block_flow};
-                slice = {};
+                FlowJob job{build_block(nl, slices[static_cast<std::size_t>(next)], next, net_map),
+                            node, params.block_flow};
                 // Place/route only: the flat input is already synthesized,
                 // and a purely combinational block would otherwise be
                 // re-synthesized (optimize/map restructure logic), losing
-                // instances the stitcher must carry back into the merged
-                // design verbatim.
+                // the one-for-one instance map the write-back relies on.
                 job.skip_stages = {"optimize", "map"};
                 in_flight.push_back(scheduler.submit(std::move(job)));
             }
-            FlowResult& r = out.blocks[static_cast<std::size_t>(b)].flow;
+            const auto sb = static_cast<std::size_t>(b);
+            FlowResult& r = out.blocks[sb].flow;
             r = in_flight.front().wait();
             in_flight.pop_front();
             if (r.failed()) {
                 if (!block_failed) out.top.error = "hier: block flow failed: " + r.error;
                 block_failed = true;
             } else if (!block_failed) {
-                stitch.add_block(*r.mapped);
+                extents[sb] = write_back(*r.mapped, slices[sb].insts, *merged);
             }
             r.mapped.reset();
+            slices[sb] = {};
         }
     }
-    // A failed block reports through top.error without throwing, and takes
-    // precedence over any stitch error (finish() raises those).
+    // A failed block reports through top.error without throwing.
     if (block_failed) return out;
 
-    std::shared_ptr<Netlist> merged = stitch.finish(params.floorplan_margin, out);
+    // Floorplan: blocks tiled on a ceil(sqrt(K)) grid of uniform slots
+    // sized by the largest block extent (positions are nm).
+    const auto cols = static_cast<std::int64_t>(std::ceil(std::sqrt(static_cast<double>(k))));
+    std::int64_t max_w = 1, max_h = 1;
+    for (const Rect& e : extents) {
+        max_w = std::max(max_w, e.width());
+        max_h = std::max(max_h, e.height());
+    }
+    const auto margin = static_cast<std::int64_t>(
+        kFloorplanMargin * static_cast<double>(std::max(max_w, max_h)));
+    const std::int64_t slot_w = max_w + std::max<std::int64_t>(margin, 1);
+    const std::int64_t slot_h = max_h + std::max<std::int64_t>(margin, 1);
+    std::vector<Point> offsets(extents.size());
+    for (std::size_t b = 0; b < extents.size(); ++b) {
+        const Rect& e = extents[b];
+        const auto sb = static_cast<std::int64_t>(b);
+        const Point slot{(sb % cols) * slot_w, (sb / cols) * slot_h};
+        out.blocks[b].placement = Rect{slot, {slot.x + e.width(), slot.y + e.height()}};
+        offsets[b] = Point{slot.x - (e.empty() ? 0 : e.lo.x), slot.y - (e.empty() ? 0 : e.lo.y)};
+    }
+    for (InstId i = 0; i < merged->num_instances(); ++i) {
+        Instance& inst = merged->instance(i);
+        if (inst.placed) {
+            const Point& d = offsets[static_cast<std::size_t>(part.block_of[i])];
+            inst.position = Point{inst.position.x + d.x, inst.position.y + d.y};
+        }
+    }
 
-    // Top-level STA over the stitched, placed result.
+    // Top-level STA over the merged, placed design.
     StaOptions sopts;
     sopts.wire = WireModel::for_node(node);
     sopts.sta_workers = params.block_flow.workers;
@@ -471,6 +381,8 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
         if (!box.empty()) hpwl_nm += static_cast<double>(box.width() + box.height());
     }
     out.top.hpwl_um = hpwl_nm / 1000.0;
+    // Block-internal routes only: no router runs on the boundary nets'
+    // inter-block segments.
     for (const HierBlockResult& b : out.blocks) {
         out.top.route_wirelength += b.flow.route_wirelength;
     }

@@ -5,29 +5,30 @@
 /// netlist is min-cut partitioned into K blocks, each block is implemented
 /// independently through the existing staged flow (a FlowScheduler job,
 /// which carries the deterministic-workers contract: results are
-/// byte-identical for any worker count), the implemented blocks are
-/// stitched back together — boundary nets reconnected by name, block
-/// placements offset into a floorplan grid — and top-level STA runs on the
-/// merged result.
+/// byte-identical for any worker count), each block's placements and cells
+/// are written back onto a copy of the input, offset into a floorplan grid,
+/// and top-level STA runs on the result.
 ///
 /// The block phase is a bounded stream: one pass over the flat design
 /// buckets instances and boundary nets by block; each block netlist is
-/// built on the calling thread just before it is queued, stitched in block
-/// order once it finishes, and freed right after. At most
+/// built on the calling thread just before it is queued, written back in
+/// block order once it finishes, and freed right after. At most
 /// HierParams::workers + 1 block netlists are alive at any time.
 ///
 /// Contract details:
-///  - Partitioning, extraction and the stitch are serial and depend only
-///    on the netlist and HierParams, never on worker count.
-///  - Block interfaces are name-carried: a cut net becomes a primary output
-///    of its driving block and a primary input of every reading block,
-///    under the flat design's net name. Block flows skip optimize and map,
-///    so each block PO stays the output of the instance that drives it in
-///    the flat design, and the stitch is a pure name join.
-///  - The merged netlist is validated; any dangling boundary is an error.
-///  - A failed block reports through `top.error` without throwing, even
-///    when stitching an earlier block would have thrown; `merged` is then
-///    null.
+///  - Partitioning, extraction and the write-back are serial and depend
+///    only on the netlist and HierParams, never on worker count.
+///  - The merged netlist is the input netlist: same ids, names and
+///    connectivity. Each instance carries its block placement, offset into
+///    its block's slot, and its block cell type (sizing may swap a cell for
+///    another of the same function). Block flows skip optimize and map, so
+///    block instance j is the j-th flat instance of that block; a block that
+///    comes back with another instance count or cell function is a
+///    std::logic_error.
+///  - The input is validated before partitioning; a malformed one throws
+///    std::invalid_argument naming the first problem.
+///  - A failed block reports through `top.error` without throwing; `merged`
+///    is then null.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,23 +39,16 @@
 namespace janus {
 
 struct HierParams {
-    /// Number of partitions (K). Values < 2 run the flat flow unchanged.
+    /// Number of partitions (K). Values <= 1 run the whole design as one
+    /// place/route-only block.
     int num_blocks = 4;
-    /// FM-style boundary refinement sweeps after the initial partition.
-    int refine_passes = 6;
-    /// Allowed block-size imbalance: a move is rejected when it would push
-    /// a block above (1 + balance_slack) * average size.
-    double balance_slack = 0.10;
     /// Per-block flow knobs (seed, utilization, stage mask, workers).
     /// Each block job gets a copy with the same seed — determinism comes
     /// from the per-job seeding, not from job isolation tricks.
     FlowParams block_flow;
     /// Worker threads that run the block flows. Also bounds memory: at
-    /// most workers + 1 blocks are extracted and not yet stitched.
+    /// most workers + 1 blocks are extracted and not yet written back.
     int workers = 1;
-    /// Spacing between adjacent block placements in the merged floorplan,
-    /// as a fraction of the widest block dimension.
-    double floorplan_margin = 0.05;
 };
 
 /// Result of min-cut partitioning: block id per instance plus cut metrics.
@@ -67,17 +61,15 @@ struct HierPartition {
 
 /// Deterministic K-way min-cut partitioning: contiguous id-order seeding
 /// (creation order is locality order for generated and ingested designs)
-/// followed by `refine_passes` greedy boundary sweeps that move an instance
-/// to its best-connected block when that strictly reduces the cut and
-/// keeps block sizes within the slack.
-HierPartition partition_min_cut(const Netlist& nl, int num_blocks,
-                                int refine_passes = 6,
-                                double balance_slack = 0.10);
+/// followed by up to six greedy boundary sweeps that move an instance to
+/// its best-connected block when that strictly reduces the cut and keeps
+/// every block within 10% of the average size.
+HierPartition partition_min_cut(const Netlist& nl, int num_blocks);
 
-/// One implemented block plus where the stitcher put it.
+/// One implemented block plus where the floorplan put it.
 struct HierBlockResult {
     /// Per-block QoR (place/route/STA of the block). `flow.mapped` is
-    /// null: each block netlist is freed once it is stitched into
+    /// null: each block netlist is freed once it is written back into
     /// HierFlowResult::merged.
     FlowResult flow;
     Rect placement;      ///< region assigned in the merged floorplan (nm)
@@ -85,22 +77,27 @@ struct HierBlockResult {
 
 struct HierFlowResult {
     /// Top-level QoR: merged instance/area/HPWL counts and the top STA
-    /// numbers (critical delay, WNS/TNS) over the stitched netlist. `legal`
+    /// numbers (critical delay, WNS/TNS) over the merged netlist. `legal`
     /// is the AND of every block's legality; `runtime_ms` is the wall time
-    /// of the whole run_hier_flow call.
+    /// of the whole run_hier_flow call. `route_wirelength` sums the block
+    /// routes only: the boundary nets' inter-block segments are not routed.
     FlowResult top;
     std::vector<HierBlockResult> blocks;
-    std::size_t cut_nets = 0;           ///< partition cut size
-    std::size_t stitched_nets = 0;      ///< boundary nets joined by name
-    /// The stitched, placed top netlist (shared so callers can run further
-    /// analyses without a copy). Null when a block failed.
+    std::size_t cut_nets = 0;  ///< partition cut size
+    /// Nets driven in one block and read in another or by a top output.
+    /// No router routes their inter-block segments.
+    std::size_t boundary_nets = 0;
+    /// The input netlist with every instance's block placement, offset into
+    /// its floorplan slot, and block cell type (shared so callers can run
+    /// further analyses without a copy). Null when a block failed.
     std::shared_ptr<Netlist> merged;
 };
 
-/// Runs the partition → per-block flow → stitch → top STA pipeline.
+/// Runs the partition → per-block flow → write-back → top STA pipeline.
 /// Byte-identical for any HierParams::workers value. Throws
-/// std::invalid_argument, before partitioning, when `block_flow.stages`
-/// includes Scan: scan ports added inside a block have no flat net to join.
+/// std::invalid_argument, before partitioning, when `nl` fails
+/// Netlist::validate() or `block_flow.stages` includes Scan (scan insertion
+/// adds ports and cells the flat design does not have).
 HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
                              const HierParams& params);
 

@@ -2,8 +2,9 @@
 /// \file floorplan.hpp
 /// Slicing-tree floorplanning with simulated annealing over normalized
 /// Polish expressions (Wong-Liu). Blocks are soft: each may realize any
-/// of a small set of aspect ratios. Supports the flow's hierarchical
-/// planning step and the "automatic floorplan" capability Rossi asks for.
+/// of a small set of aspect ratios. Models the "automatic floorplan"
+/// capability Rossi asks for; no flow stage calls it (run_hier_flow tiles
+/// its blocks on a grid of its own).
 
 #include <cstdint>
 #include <string>

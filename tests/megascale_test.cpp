@@ -2,11 +2,11 @@
 /// memory_bytes() accounting, CSR sinks() equivalence against a from-scratch
 /// fanin scan across randomized mutations, and open-addressed strash
 /// unique-table equivalence (same hit count, same literals) against a
-/// reference std::unordered_map. Also the hierarchical flow's top-level
-/// record: legality, wall-clock runtime, pinned stitch geometry, the merged
-/// design pinned by hash at every worker count, failed blocks reported
-/// through the top record, and the stitch's refusal to join two nets that
-/// share a name.
+/// reference std::unordered_map. Also the hierarchical flow: top-level
+/// legality and wall-clock runtime, pinned floorplan geometry, a merged
+/// design whose netlist is the input's and whose placement is pinned by
+/// hash at every worker count, failed blocks reported through the top
+/// record, and inputs rejected or accepted regardless of their net names.
 
 #include <gtest/gtest.h>
 
@@ -272,16 +272,21 @@ TEST(MegascaleStrash, MemoryBytesTracksTableGrowth) {
 
 // ------------------------------------------------------ hierarchical flow
 
-/// Hier run of a small pipelined mesh at `utilization`, split into
-/// `blocks` blocks on `workers` block workers.
+Netlist small_mesh() { return generate_mesh(lib28(), 1500, 5, 2); }
+
+/// Hier run of small_mesh() at `utilization`, split into `blocks` blocks on
+/// `workers` block workers. Every merged design it returns must print as
+/// the input netlist.
 HierFlowResult run_small_hier(double utilization, int blocks = 3, int workers = 2) {
-    const Netlist nl = generate_mesh(lib28(), 1500, 5, 2);
+    const Netlist nl = small_mesh();
     HierParams hp;
     hp.num_blocks = blocks;
     hp.workers = workers;
     hp.block_flow.seed = 3;
     hp.block_flow.utilization = utilization;
-    return run_hier_flow(nl, *find_node("28nm"), hp);
+    HierFlowResult r = run_hier_flow(nl, *find_node("28nm"), hp);
+    if (r.merged) EXPECT_EQ(netlist_to_string(*r.merged), netlist_to_string(nl));
+    return r;
 }
 
 TEST(MegascaleHier, TopLegalIsTheAndOfBlocksAndRuntimeIsWallTime) {
@@ -323,13 +328,13 @@ TEST(MegascaleHier, TopHpwlAndBlockPlacementsArePinned) {
 }
 
 TEST(MegascaleHier, MergedDesignIsPinnedAcrossWorkerCounts) {
-    // FNV-1a-64 of the merged netlist + placement text. A change that
-    // reorders merged ids, renames a net or moves an instance changes the
-    // hash at every worker count, which a worker-vs-worker comparison
-    // cannot see.
+    // The merged netlist is the input (run_small_hier checks its text), and
+    // FNV-1a-64 of its placement text is pinned: a change that moves an
+    // instance changes the hash at every worker count, which a
+    // worker-vs-worker comparison cannot see.
     const std::pair<int, std::uint64_t> pinned[] = {
-        {3, 0x974fa90baf163291ull},
-        {8, 0xf902b779b91e6593ull},
+        {3, 0x3da333abb3782551ull},
+        {8, 0xdd31b0d308168cb0ull},
     };
     for (const auto& [blocks, hash] : pinned) {
         for (const int workers : {1, 2, 4}) {
@@ -338,10 +343,9 @@ TEST(MegascaleHier, MergedDesignIsPinnedAcrossWorkerCounts) {
             const HierFlowResult r = run_small_hier(0.65, blocks, workers);
             ASSERT_FALSE(r.top.failed()) << r.top.error;
             ASSERT_NE(r.merged, nullptr);
-            std::ostringstream text;
-            write_netlist(text, *r.merged);
-            write_placement(text, *r.merged);
-            EXPECT_EQ(hash_name(text.str()), hash);
+            std::ostringstream placement;
+            write_placement(placement, *r.merged);
+            EXPECT_EQ(hash_name(placement.str()), hash);
             ASSERT_EQ(r.blocks.size(), static_cast<std::size_t>(blocks));
             for (const HierBlockResult& b : r.blocks) {
                 EXPECT_EQ(b.flow.mapped, nullptr);
@@ -352,7 +356,7 @@ TEST(MegascaleHier, MergedDesignIsPinnedAcrossWorkerCounts) {
 
 TEST(MegascaleHier, FailedBlocksReportThroughTopError) {
     // Every block job rejects its params; the flow reports the first
-    // failure instead of throwing, and stitches nothing.
+    // failure instead of throwing, and returns no merged design.
     for (const int workers : {1, 4}) {
         SCOPED_TRACE(std::to_string(workers) + " workers");
         HierFlowResult r;
@@ -390,18 +394,81 @@ TEST(MegascaleHier, ScanInsideBlocksIsRejectedUpFront) {
     }
 }
 
-/// Message of the std::runtime_error run_hier_flow throws for `nl` split
-/// into `blocks`, or "" when the flow completes.
-std::string hier_error(const Netlist& nl, int blocks) {
+TEST(MegascaleHier, SizingInBlocksChangesOnlyCellsOfTheSameFunction) {
+    // Twice small_mesh()'s gates behind one pipeline stage instead of two:
+    // the longer register-to-register paths miss the default clock, so
+    // sizing has work to do.
+    const Netlist input = generate_mesh(lib28(), 3000, 5, 1);
+    HierParams hp;
+    hp.num_blocks = 3;
+    hp.workers = 2;
+    hp.block_flow.stages = FlowStageMask::Sizing;
+    const HierFlowResult r = run_hier_flow(input, *find_node("28nm"), hp);
+    ASSERT_FALSE(r.top.failed()) << r.top.error;
+    int resized = 0;
+    for (const HierBlockResult& b : r.blocks) resized += b.flow.cells_resized;
+    ASSERT_GT(resized, 0) << "sizing no longer resizes this design";
+
+    // Line by line, the merged text may differ from the input's only in the
+    // cell name of an `inst` line, and only to a cell of the same function.
+    std::istringstream want(netlist_to_string(input));
+    std::istringstream got(netlist_to_string(*r.merged));
+    const CellLibrary& lib = input.library();
+    std::string a, b;
+    int changed = 0;
+    while (std::getline(want, a)) {
+        ASSERT_TRUE(std::getline(got, b)) << "merged text ends early";
+        if (a == b) continue;
+        std::istringstream ta(a), tb(b);
+        std::string kw_a, name_a, cell_a, rest_a, kw_b, name_b, cell_b, rest_b;
+        ta >> kw_a >> name_a >> cell_a;
+        tb >> kw_b >> name_b >> cell_b;
+        std::getline(ta, rest_a);
+        std::getline(tb, rest_b);
+        ASSERT_EQ(kw_a, "inst") << a;
+        EXPECT_EQ(kw_b, "inst") << b;
+        EXPECT_EQ(name_b, name_a);
+        EXPECT_EQ(rest_b, rest_a) << name_a;
+        const auto old_cell = lib.find(cell_a), new_cell = lib.find(cell_b);
+        ASSERT_TRUE(old_cell && new_cell) << a << " / " << b;
+        EXPECT_EQ(lib.cell(*new_cell).function, lib.cell(*old_cell).function) << name_a;
+        ++changed;
+    }
+    EXPECT_FALSE(std::getline(got, b)) << "merged text runs on";
+    EXPECT_GT(changed, 0) << "no resized cell reached the merged design";
+}
+
+TEST(MegascaleHier, InputWithAnUnconnectedPinIsRejectedBeforeAnyBlockRuns) {
+    Netlist nl(lib28(), "open_pin");
+    const NetId a = nl.add_primary_input("a");
+    const auto nand2 = nl.library().find("NAND2_X1");
+    ASSERT_TRUE(nand2.has_value());
+    const InstId g0 = nl.add_instance("g0", *nand2, {a, a});
+    const InstId g1 = nl.add_instance("g1", *nand2, {nl.instance(g0).output, kNoNet});
+    nl.add_primary_output("y", nl.instance(g1).output);
+    HierParams hp;
+    hp.num_blocks = 2;
+    // Every block job would fail on this utilization and report through
+    // top.error; the throw shows the input is checked first.
+    hp.block_flow.utilization = 1.5;
+    std::string error;
+    try {
+        run_hier_flow(nl, *find_node("28nm"), hp);
+    } catch (const std::invalid_argument& e) {
+        error = e.what();
+    }
+    EXPECT_EQ(error, "hier: input netlist invalid: instance g1 pin 1 unconnected");
+}
+
+/// Netlist text of the merged design run_hier_flow returns for `nl` split
+/// into `blocks`.
+std::string merged_text(const Netlist& nl, int blocks) {
     HierParams hp;
     hp.num_blocks = blocks;
     hp.block_flow.stages = FlowStageMask::None;
-    try {
-        run_hier_flow(nl, *find_node("28nm"), hp);
-    } catch (const std::runtime_error& e) {
-        return e.what();
-    }
-    return "";
+    const HierFlowResult r = run_hier_flow(nl, *find_node("28nm"), hp);
+    EXPECT_FALSE(r.top.failed()) << r.top.error;
+    return r.merged ? netlist_to_string(*r.merged) : "";
 }
 
 /// `nl` rebuilt through the API with primary input `pi` renamed. Valid for
@@ -421,29 +488,27 @@ Netlist with_input_renamed(const Netlist& nl, std::size_t pi, const std::string&
     return out;
 }
 
-TEST(MegascaleHier, StitchRejectsARepeatedInputName) {
+TEST(MegascaleHier, RepeatedInputNameMergesToTheInput) {
+    // Second input b0 renamed a0: two nets now print the same name. The
+    // write-back maps blocks onto the input by id, so names need not be
+    // unique.
     const Netlist adder = generate_adder(lib28(), 8);
-    for (const int blocks : {1, 2, 4}) {
-        EXPECT_EQ(hier_error(adder, blocks), "") << blocks << " blocks";
-    }
-    // Second input b0 renamed a0: two nets now print the same name.
     const Netlist dup = with_input_renamed(adder, 8, "a0");
     ASSERT_TRUE(dup.validate().empty());
     ASSERT_EQ(dup.num_instances(), adder.num_instances());
+    const std::string text = netlist_to_string(dup);
+    for (const int blocks : {1, 2, 4}) {
+        EXPECT_EQ(merged_text(dup, blocks), text) << blocks << " blocks";
+    }
+    // The .jnl reader still refuses the repeated name.
     std::string read_error;
     try {
-        netlist_from_string(netlist_to_string(dup), lib28());
+        netlist_from_string(text, lib28());
     } catch (const std::runtime_error& e) {
         read_error = e.what();
     }
     EXPECT_EQ(read_error, "read_netlist: line 10: primary input redefined: a0");
-    for (const int blocks : {1, 2, 4}) {
-        EXPECT_EQ(hier_error(dup, blocks),
-                  "hier: net name \"a0\" is not unique while stitching adder8")
-            << blocks << " blocks";
-    }
-    // A failed block still wins: it reports through top.error and the
-    // shared name is never raised.
+    // A failed block still reports through top.error.
     HierParams hp;
     hp.num_blocks = 2;
     hp.block_flow.utilization = 1.5;
@@ -452,18 +517,20 @@ TEST(MegascaleHier, StitchRejectsARepeatedInputName) {
     EXPECT_EQ(r.top.error,
               "hier: block flow failed: FlowParams: utilization must be in "
               "(0, 1], got 1.5");
+    EXPECT_EQ(r.merged, nullptr);
 }
 
-TEST(MegascaleHier, StitchRejectsAnInputNamedLikeADerivedNet) {
-    // sum0's output net prints as "sum0.out"; an input may legally carry
-    // that name, but the stitch could then no longer tell the two apart.
+TEST(MegascaleHier, InputNamedLikeADerivedNetMergesToTheInput) {
+    // sum0's output net prints as "sum0.out", and an input may legally carry
+    // that name too.
     std::string text = netlist_to_string(generate_adder(lib28(), 8));
     const std::string from = "input a0 ";
     text.replace(text.find(from), from.size(), "input sum0.out ");
     const Netlist nl = netlist_from_string(text, lib28());
     ASSERT_TRUE(nl.validate().empty());
-    EXPECT_EQ(hier_error(nl, 1),
-              "hier: net name \"sum0.out\" is not unique while stitching adder8");
+    for (const int blocks : {1, 2, 4}) {
+        EXPECT_EQ(merged_text(nl, blocks), netlist_to_string(nl)) << blocks << " blocks";
+    }
 }
 
 }  // namespace
