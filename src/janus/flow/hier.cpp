@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "janus/place/legalize.hpp"
 #include "janus/server/scheduler.hpp"
 #include "janus/timing/sta.hpp"
 #include "janus/util/geometry.hpp"
@@ -225,10 +226,13 @@ Netlist build_block(const Netlist& top, const BlockSlice& slice, int b,
 
 /// Writes block `bn`'s placement and cell choice back onto the flat
 /// instances it was built from (block instance j is `insts[j]`) and returns
-/// the block's placement extent. Block jobs skip optimize and map and Scan
-/// is rejected, so a block keeps its instances one for one, and sizing may
-/// only swap a cell for another of the same function.
-Rect write_back(const Netlist& bn, const std::vector<InstId>& insts, Netlist& merged) {
+/// the block's placement extent: the bounding box of its placed cells'
+/// footprints on `area`'s rows and sites, so every cell lies inside it
+/// whole. Block jobs skip optimize and map and Scan is rejected, so a block
+/// keeps its instances one for one, and sizing may only swap a cell for
+/// another of the same function.
+Rect write_back(const Netlist& bn, const std::vector<InstId>& insts,
+                const PlacementArea& area, Netlist& merged) {
     if (bn.num_instances() != insts.size()) {
         throw std::logic_error("hier: block " + bn.name() + " came back with " +
                                std::to_string(bn.num_instances()) + " instances, not " +
@@ -246,7 +250,11 @@ Rect write_back(const Netlist& bn, const std::vector<InstId>& insts, Netlist& me
         mi.type = bi.type;
         mi.placed = bi.placed;
         mi.position = bi.position;
-        if (bi.placed) extent = bounding_box(extent, Rect(bi.position, bi.position));
+        if (bi.placed) {
+            const Point far{bi.position.x + cell_width_nm(bn, j, area),
+                            bi.position.y + area.row_height};
+            extent = bounding_box(extent, Rect(bi.position, far));
+        }
     }
     return extent;
 }
@@ -315,7 +323,10 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
                 if (!block_failed) out.top.error = "hier: block flow failed: " + r.error;
                 block_failed = true;
             } else if (!block_failed) {
-                extents[sb] = write_back(*r.mapped, slices[sb].insts, *merged);
+                extents[sb] = write_back(
+                    *r.mapped, slices[sb].insts,
+                    make_placement_area(*r.mapped, node, params.block_flow.utilization),
+                    *merged);
             }
             r.mapped.reset();
             slices[sb] = {};

@@ -72,7 +72,10 @@ struct HierBlockResult {
     /// null: each block netlist is freed once it is written back into
     /// HierFlowResult::merged.
     FlowResult flow;
-    Rect placement;      ///< region assigned in the merged floorplan (nm)
+    /// Region assigned in the merged floorplan (nm). It holds every placed
+    /// cell of the block whole (legalizer width, one row high), and no two
+    /// blocks' regions overlap, so cells of different blocks never overlap.
+    Rect placement;
 };
 
 struct HierFlowResult {

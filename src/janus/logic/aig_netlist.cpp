@@ -120,16 +120,6 @@ Netlist netlist_from_aiger(const AigerDesign& design,
     return nl;
 }
 
-Netlist netlist_from_aig(const Aig& aig, std::shared_ptr<const CellLibrary> lib,
-                         const std::string& name) {
-    AigerDesign d;
-    d.aig = aig;
-    d.name = name;
-    d.num_inputs = aig.num_inputs();
-    d.file_ands = aig.num_ands();
-    return netlist_from_aiger(d, std::move(lib));
-}
-
 AigerDesign aiger_from_netlist(const Netlist& nl) {
     AigerDesign d;
     d.name = nl.name();

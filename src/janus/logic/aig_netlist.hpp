@@ -35,11 +35,6 @@ namespace janus {
 Netlist netlist_from_aiger(const AigerDesign& design,
                            std::shared_ptr<const CellLibrary> lib);
 
-/// Wraps a pure-combinational Aig as an AigerDesign (no latches) and
-/// instantiates it; `name` becomes the netlist name.
-Netlist netlist_from_aig(const Aig& aig, std::shared_ptr<const CellLibrary> lib,
-                         const std::string& name = "aig");
-
 /// Exports any netlist (combinational or sequential) as an AIGER design:
 /// cells fold into AND/INV structure, sequential cells become latches.
 /// Input, output and latch order follow primary_inputs() /

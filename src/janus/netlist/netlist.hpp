@@ -171,8 +171,8 @@ class Netlist {
     /// order is well defined for sequential designs without combinational
     /// loops. Throws std::runtime_error when a combinational loop exists.
     /// The order is cached and only recomputed after a structural mutation
-    /// (epoch-based), so the repeated calls made by STA, fault simulation,
-    /// activity propagation and SSTA cost one Kahn pass total, not one per
+    /// (epoch-based), so the repeated calls made by STA, fault simulation
+    /// and activity propagation cost one Kahn pass total, not one per
     /// call. The returned reference is valid until the next mutation.
     const std::vector<InstId>& topological_order() const;
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "janus/place/legalize.hpp"
 #include "janus/util/rng.hpp"
 
 namespace janus {
@@ -54,10 +55,7 @@ PlacementArea make_placement_area(const Netlist& nl, const TechnologyNode& node,
     // design at the requested utilization.
     double footprint_nm2 = 0;
     for (InstId i = 0; i < nl.num_instances(); ++i) {
-        const auto sites = static_cast<std::int64_t>(
-            std::ceil(nl.type_of(i).width_tracks));
-        footprint_nm2 += static_cast<double>(std::max<std::int64_t>(1, sites) *
-                                             a.site_width) *
+        footprint_nm2 += static_cast<double>(cell_width_nm(nl, i, a)) *
                          static_cast<double>(a.row_height);
     }
     const double die_nm2 = footprint_nm2 / std::max(0.05, utilization);

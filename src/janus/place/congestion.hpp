@@ -3,7 +3,7 @@
 /// Bin-based routing-congestion estimation from a placement: each net's
 /// bounding box spreads demand over the bins it crosses; capacity comes
 /// from the available routing layers. Used by the scan-reorder experiment
-/// (E8) and as the router's net-ordering hint.
+/// (E8).
 
 #include <vector>
 

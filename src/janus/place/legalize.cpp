@@ -6,7 +6,6 @@
 #include <vector>
 
 namespace janus {
-namespace {
 
 std::int64_t cell_width_nm(const Netlist& nl, InstId i, const PlacementArea& area) {
     const double tracks = nl.type_of(i).width_tracks;
@@ -14,8 +13,6 @@ std::int64_t cell_width_nm(const Netlist& nl, InstId i, const PlacementArea& are
         area.site_width,
         static_cast<std::int64_t>(std::ceil(tracks)) * area.site_width);
 }
-
-}  // namespace
 
 LegalizeResult legalize(Netlist& nl, const PlacementArea& area) {
     LegalizeResult res;

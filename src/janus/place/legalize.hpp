@@ -13,6 +13,11 @@ struct LegalizeResult {
     bool success = true;  ///< false if the die ran out of sites
 };
 
+/// Footprint width of instance `i` on `area`'s sites: its track width
+/// rounded up to whole sites, at least one site. Every cell is one row
+/// high.
+std::int64_t cell_width_nm(const Netlist& nl, InstId i, const PlacementArea& area);
+
 /// Legalizes all instances in place. Cells are processed in x order and
 /// packed to the nearest feasible row position (the classic Tetris
 /// heuristic).

@@ -2,7 +2,7 @@
 /// \file activity.hpp
 /// Switching-activity estimation: static probabilities and toggle rates
 /// propagated through the netlist under the standard spatial-independence
-/// assumption. Feeds the power model and clock-gating planner.
+/// assumption. Feeds the power model.
 
 #include <vector>
 

@@ -1,6 +1,5 @@
 #include "janus/util/geometry.hpp"
 
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -8,12 +7,6 @@ namespace janus {
 
 std::int64_t manhattan(const Point& a, const Point& b) {
     return std::llabs(a.x - b.x) + std::llabs(a.y - b.y);
-}
-
-double euclidean(const Point& a, const Point& b) {
-    const double dx = static_cast<double>(a.x - b.x);
-    const double dy = static_cast<double>(a.y - b.y);
-    return std::sqrt(dx * dx + dy * dy);
 }
 
 Rect intersection(const Rect& a, const Rect& b) {

@@ -23,9 +23,6 @@ struct Point {
 /// Manhattan (L1) distance between two points.
 std::int64_t manhattan(const Point& a, const Point& b);
 
-/// Euclidean distance between two points (for reports only; routing is L1).
-double euclidean(const Point& a, const Point& b);
-
 /// An axis-aligned rectangle [lo.x, hi.x] x [lo.y, hi.y], inclusive bounds.
 /// An empty rectangle has hi < lo in at least one dimension.
 struct Rect {

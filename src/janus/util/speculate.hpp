@@ -81,22 +81,4 @@ class EpochClaims {
     std::uint32_t epoch_ = 0;
 };
 
-/// Aggregate observability of one speculative stage execution, surfaced
-/// through StageTrace notes (regions/rounds/aborts/commit-rate).
-struct SpecStats {
-    std::size_t regions = 0;        ///< regions in the ownership grid
-    std::size_t rounds = 0;         ///< speculate/commit rounds executed
-    std::size_t speculated = 0;     ///< work units evaluated optimistically
-    std::size_t committed = 0;      ///< work units committed
-    std::size_t commit_aborts = 0;  ///< cross-region conflicts, re-queued
-    /// Fraction of commit attempts that succeeded; 1.0 when nothing ever
-    /// conflicted.
-    double commit_rate() const {
-        const std::size_t attempts = committed + commit_aborts;
-        return attempts == 0 ? 1.0
-                             : static_cast<double>(committed) /
-                                   static_cast<double>(attempts);
-    }
-};
-
 }  // namespace janus

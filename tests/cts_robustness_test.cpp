@@ -11,7 +11,6 @@
 #include "janus/logic/truth_table.hpp"
 #include "janus/netlist/generator.hpp"
 #include "janus/place/analytic_place.hpp"
-#include "janus/place/floorplan.hpp"
 #include "janus/place/legalize.hpp"
 #include "janus/power/power_grid.hpp"
 #include "janus/route/clock_tree.hpp"
@@ -103,7 +102,6 @@ TEST(Robustness, InvalidArgumentsThrow) {
     EXPECT_THROW(generate_adder(lib28(), 0), std::invalid_argument);
     EXPECT_THROW(generate_parity(lib28(), -3), std::invalid_argument);
     EXPECT_THROW(generate_mesh(lib28(), 0), std::invalid_argument);
-    EXPECT_THROW(floorplan({}), std::invalid_argument);
     EXPECT_THROW(Netlist(nullptr), std::invalid_argument);
 }
 

@@ -2,8 +2,6 @@
 
 #include <memory>
 
-#include "janus/dft/test_points.hpp"
-#include "janus/litho/process_window.hpp"
 #include "janus/logic/aig_rewrite.hpp"
 #include "janus/logic/equivalence.hpp"
 #include "janus/logic/tech_map.hpp"
@@ -119,96 +117,6 @@ TEST(Sizing, PreservesFunction) {
     size_for_timing(nl, opts);
     const auto res = check_equivalence(golden, nl);
     EXPECT_TRUE(res.equivalent);
-}
-
-// ------------------------------------------------------------- test points
-
-TEST(TestPoints, RaiseCoverageOnRedundantLogic) {
-    // Build a design with poor random observability: one 16-input AND
-    // chain. A fault deep in the chain propagates to the sole output only
-    // when *every* other input is 1 (p = 2^-15) — random patterns cannot
-    // observe it, an observe point mid-chain can.
-    Netlist nl(lib28(), "deepand");
-    std::vector<NetId> pis;
-    for (int i = 0; i < 16; ++i) pis.push_back(nl.add_primary_input("i" + std::to_string(i)));
-    const auto and2 = nl.library().find("AND2_X1");
-    NetId cur = pis[0];
-    for (int i = 1; i < 16; ++i) {
-        const InstId g = nl.add_instance("t" + std::to_string(i), *and2,
-                                         {cur, pis[static_cast<std::size_t>(i)]});
-        cur = nl.instance(g).output;
-    }
-    nl.add_primary_output("y", cur);
-
-    TestPointOptions opts;
-    opts.atpg.max_patterns = 192;
-    opts.atpg.seed = 3;
-    const TestPointResult res = insert_observe_points(nl, opts);
-    EXPECT_GT(res.coverage_after, res.coverage_before);
-    EXPECT_FALSE(res.observe_points.empty());
-    EXPECT_TRUE(nl.validate().empty());
-}
-
-TEST(TestPoints, NoPointsWhenCoverageComplete) {
-    Netlist nl = generate_parity(lib28(), 8);  // trivially testable
-    TestPointOptions opts;
-    opts.atpg.target_coverage = 1.0;
-    opts.atpg.max_patterns = 2048;
-    const TestPointResult res = insert_observe_points(nl, opts);
-    EXPECT_GE(res.coverage_before, 0.99);
-    EXPECT_TRUE(res.observe_points.empty());
-}
-
-// ---------------------------------------------------------- process window
-
-TEST(ProcessWindow, NominalOnlyMaskHasNarrowWindow) {
-    const OpticalModel optics;
-    // Aggressive lines, model-OPC'd at nominal.
-    std::vector<MaskFeature> f;
-    f.push_back({Rect{0, 0, 900, 75}, 0, 0, 0, 0});
-    f.push_back({Rect{0, 225, 900, 300}, 0, 0, 0, 0});
-    ModelOpcOptions mopts;
-    mopts.iterations = 14;
-    model_based_opc(f, optics, mopts);
-
-    const ProcessWindowResult pw = analyze_process_window(f, optics);
-    EXPECT_EQ(pw.corners_total, 12u);
-    // Nominal corner must pass; the full window usually does not.
-    bool nominal_pass = false;
-    for (const auto& [ss, ts, err] : pw.corner_errors) {
-        if (ss == 1.0 && ts == 0.0) nominal_pass = err <= 0.25;
-    }
-    EXPECT_TRUE(nominal_pass);
-    EXPECT_LE(pw.corners_passing, pw.corners_total);
-}
-
-TEST(ProcessWindow, RelaxedFeatureHasFullWindow) {
-    const OpticalModel optics;
-    std::vector<MaskFeature> f;
-    f.push_back({Rect{0, 0, 2000, 400}, 0, 0, 0, 0});
-    ProcessWindowOptions opts;
-    opts.nm_per_pixel = 6.0;
-    const ProcessWindowResult pw = analyze_process_window(f, optics, opts);
-    EXPECT_EQ(pw.corners_passing, pw.corners_total);
-    EXPECT_FALSE(pw.any_feature_lost);
-}
-
-TEST(ProcessWindow, WindowShrinksWithFeatureSize) {
-    const OpticalModel optics;
-    const auto window_of = [&](double width) {
-        std::vector<MaskFeature> f;
-        const auto w = static_cast<std::int64_t>(width);
-        f.push_back({Rect{0, 0, 10 * w, w}, 0, 0, 0, 0});
-        f.push_back({Rect{0, 3 * w, 10 * w, 4 * w}, 0, 0, 0, 0});
-        ModelOpcOptions mopts;
-        mopts.iterations = 10;
-        mopts.nm_per_pixel = std::max(2.0, width / 30.0);
-        model_based_opc(f, optics, mopts);
-        ProcessWindowOptions opts;
-        opts.nm_per_pixel = mopts.nm_per_pixel;
-        return analyze_process_window(f, optics, opts).yield_fraction();
-    };
-    EXPECT_GE(window_of(300.0), window_of(80.0));
 }
 
 }  // namespace

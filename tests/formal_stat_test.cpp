@@ -7,13 +7,10 @@
 #include "janus/logic/equivalence.hpp"
 #include "janus/logic/espresso.hpp"
 #include "janus/logic/exact_cover.hpp"
-#include "janus/logic/retime.hpp"
 #include "janus/logic/sat.hpp"
 #include "janus/logic/tech_map.hpp"
 #include "janus/netlist/generator.hpp"
-#include "janus/timing/ssta.hpp"
 #include "janus/util/rng.hpp"
-#include "janus/util/stats.hpp"
 
 namespace janus {
 namespace {
@@ -125,114 +122,6 @@ TEST(ExactCover, DontCaresReduceCubes) {
     const auto res = exact_minimize(on, dc);
     ASSERT_EQ(res.cover.size(), 1u);
     EXPECT_LE(res.cover.num_literals(), 1);
-}
-
-// ----------------------------------------------------------------- retime
-
-TEST(Retime, ClassicPipelineBalancing) {
-    // Host -> A(10) -> B(10) -> host with 2 registers piled on the last
-    // edge: as drawn, the A->B path is combinational (period 20). Moving
-    // one register between A and B balances the pipeline to period 10.
-    RetimeGraph g;
-    g.node_delay = {0.0, 10.0, 10.0};
-    g.edges.push_back({0, 1, 0});
-    g.edges.push_back({1, 2, 0});
-    g.edges.push_back({2, 0, 2});
-    EXPECT_DOUBLE_EQ(graph_period(g), 20.0);
-    const auto res = min_period_retime(g, 0.5);
-    ASSERT_TRUE(res.feasible);
-    EXPECT_LE(res.period, 10.5);
-    // Register count is conserved around the loop.
-    EXPECT_EQ(res.total_registers, 2);
-}
-
-TEST(Retime, InfeasibleBelowMaxGateDelay) {
-    RetimeGraph g;
-    g.node_delay = {0.0, 25.0};
-    g.edges.push_back({0, 1, 1});
-    g.edges.push_back({1, 0, 1});
-    EXPECT_FALSE(retime_for_period(g, 10.0).feasible);
-    EXPECT_TRUE(retime_for_period(g, 25.0).feasible);
-}
-
-TEST(Retime, NetlistGraphExtraction) {
-    // Counter: every gate is inside the register loop.
-    const Netlist nl = generate_counter(lib28(), 6);
-    const RetimeGraph g = build_retime_graph(nl);
-    EXPECT_GT(g.node_delay.size(), 1u);
-    EXPECT_FALSE(g.edges.empty());
-    const double p = graph_period(g);
-    EXPECT_GT(p, 0.0);
-    const auto res = min_period_retime(g);
-    EXPECT_TRUE(res.feasible);
-    EXPECT_LE(res.period, p + 1e-9);
-}
-
-TEST(Retime, PipelinedMeshImproves) {
-    // A 2-stage pipelined mesh with unbalanced stages benefits from
-    // register moves (or at least never gets worse).
-    const Netlist nl = generate_mesh(lib28(), 300, 5, 1);
-    const RetimeGraph g = build_retime_graph(nl);
-    const double before = graph_period(g);
-    const auto res = min_period_retime(g);
-    ASSERT_TRUE(res.feasible);
-    EXPECT_LE(res.period, before + 1e-9);
-}
-
-// ------------------------------------------------------------------- ssta
-
-TEST(Ssta, ClarkMaxMatchesMonteCarlo) {
-    const GaussianDelay x{100, 10};
-    const GaussianDelay y{95, 15};
-    const GaussianDelay approx = clark_max(x, y);
-    Rng rng(5);
-    RunningStats mc;
-    for (int i = 0; i < 50000; ++i) {
-        mc.add(std::max(rng.next_gaussian(x.mean, x.sigma),
-                        rng.next_gaussian(y.mean, y.sigma)));
-    }
-    EXPECT_NEAR(approx.mean, mc.mean(), 0.5);
-    EXPECT_NEAR(approx.sigma, mc.stddev(), 0.5);
-}
-
-TEST(Ssta, DegenerateMaxIsExact) {
-    const GaussianDelay x{50, 0};
-    const GaussianDelay y{40, 0};
-    const GaussianDelay m = clark_max(x, y);
-    EXPECT_DOUBLE_EQ(m.mean, 50.0);
-    EXPECT_DOUBLE_EQ(m.sigma, 0.0);
-}
-
-TEST(Ssta, MeanTracksNominalAndYieldBehaves) {
-    const Netlist nl = generate_adder(lib28(), 12);
-    SstaOptions opts;
-    opts.sta.clock_period_ps = 2000.0;
-    const SstaReport rep = run_ssta(nl, opts);
-    // Statistical mean is near (at or slightly above) the nominal delay.
-    EXPECT_NEAR(rep.critical.mean, rep.nominal_delay_ps,
-                0.15 * rep.nominal_delay_ps);
-    EXPECT_GT(rep.critical.sigma, 0.0);
-    // Yield is ~1 at a loose clock, ~0 at an impossible one.
-    EXPECT_GT(rep.timing_yield, 0.95);
-    SstaOptions tight = opts;
-    tight.sta.clock_period_ps = rep.critical.mean * 0.5;
-    EXPECT_LT(run_ssta(nl, tight).timing_yield, 0.05);
-    EXPECT_GT(rep.period_for_3sigma_ps, rep.critical.mean);
-}
-
-TEST(Ssta, MoreVariationLowersYield) {
-    const Netlist nl = generate_multiplier(lib28(), 5);
-    SstaOptions low;
-    low.sigma_fraction = 0.03;
-    SstaOptions high;
-    high.sigma_fraction = 0.20;
-    // Clock at the nominal critical delay: yield ~50%, dropping as sigma
-    // rises (mean shift from Clark max pushes it below half).
-    const double nominal = run_ssta(nl, low).nominal_delay_ps;
-    low.sta.clock_period_ps = nominal + low.sta.setup_ps;
-    high.sta.clock_period_ps = nominal + high.sta.setup_ps;
-    EXPECT_GT(run_ssta(nl, low).timing_yield,
-              run_ssta(nl, high).timing_yield);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "janus/netlist/generator.hpp"
 #include "janus/netlist/io.hpp"
-#include "janus/netlist/verilog.hpp"
 #include "janus/place/analytic_place.hpp"
 #include "janus/place/legalize.hpp"
 
@@ -16,53 +15,6 @@ std::shared_ptr<const CellLibrary> lib28() {
     static const auto lib = std::make_shared<const CellLibrary>(
         make_default_library(*find_node("28nm")));
     return lib;
-}
-
-// ----------------------------------------------------------------- verilog
-
-TEST(Verilog, CombinationalModuleStructure) {
-    const Netlist nl = generate_adder(lib28(), 3);
-    const std::string v = netlist_to_verilog(nl);
-    EXPECT_NE(v.find("module adder3 ("), std::string::npos);
-    EXPECT_NE(v.find("endmodule"), std::string::npos);
-    EXPECT_NE(v.find("input a0;"), std::string::npos);
-    EXPECT_NE(v.find("output cout;"), std::string::npos);
-    EXPECT_NE(v.find("XOR2_X1"), std::string::npos);
-    EXPECT_NE(v.find("MAJ3_X1"), std::string::npos);
-    // No clock port for combinational designs.
-    EXPECT_EQ(v.find("input clk;"), std::string::npos);
-}
-
-TEST(Verilog, SequentialModuleHasClockAndFlopPins) {
-    const Netlist nl = generate_counter(lib28(), 3);
-    const std::string v = netlist_to_verilog(nl);
-    EXPECT_NE(v.find("input clk;"), std::string::npos);
-    EXPECT_NE(v.find(".CK(clk)"), std::string::npos);
-    EXPECT_NE(v.find(".D(n"), std::string::npos);
-    EXPECT_NE(v.find(".Q(n"), std::string::npos);
-}
-
-TEST(Verilog, SanitizesIdentifiers) {
-    Netlist nl(lib28(), "weird.top");
-    const NetId a = nl.add_primary_input("in.0");
-    const InstId g = nl.add_instance("g.0", *nl.library().find("INV_X1"), {a});
-    nl.add_primary_output("out-x", nl.instance(g).output);
-    const std::string v = netlist_to_verilog(nl);
-    EXPECT_NE(v.find("module weird_top"), std::string::npos);
-    EXPECT_NE(v.find("in_0"), std::string::npos);
-    EXPECT_NE(v.find("out_x"), std::string::npos);
-    EXPECT_EQ(v.find("in.0"), std::string::npos);
-}
-
-TEST(Verilog, InstanceCountMatches) {
-    const Netlist nl = generate_parity(lib28(), 8);
-    const std::string v = netlist_to_verilog(nl);
-    std::size_t count = 0;
-    for (std::size_t pos = v.find("XOR2_X1"); pos != std::string::npos;
-         pos = v.find("XOR2_X1", pos + 1)) {
-        ++count;
-    }
-    EXPECT_EQ(count, nl.num_instances());
 }
 
 // --------------------------------------------------------------- placement

@@ -3,7 +3,8 @@
 /// fanin scan across randomized mutations, and open-addressed strash
 /// unique-table equivalence (same hit count, same literals) against a
 /// reference std::unordered_map. Also the hierarchical flow: top-level
-/// legality and wall-clock runtime, pinned floorplan geometry, a merged
+/// legality and wall-clock runtime, pinned floorplan geometry, block
+/// placements that hold their cells and do not overlap, a merged
 /// design whose netlist is the input's and whose placement is pinned by
 /// hash at every worker count, failed blocks reported through the top
 /// record, and inputs rejected or accepted regardless of their net names.
@@ -28,6 +29,7 @@
 #include "janus/netlist/io.hpp"
 #include "janus/netlist/netlist.hpp"
 #include "janus/netlist/technology.hpp"
+#include "janus/place/legalize.hpp"
 #include "janus/util/name_table.hpp"
 #include "janus/util/rng.hpp"
 
@@ -285,7 +287,9 @@ HierFlowResult run_small_hier(double utilization, int blocks = 3, int workers = 
     hp.block_flow.seed = 3;
     hp.block_flow.utilization = utilization;
     HierFlowResult r = run_hier_flow(nl, *find_node("28nm"), hp);
-    if (r.merged) EXPECT_EQ(netlist_to_string(*r.merged), netlist_to_string(nl));
+    if (r.merged) {
+        EXPECT_EQ(netlist_to_string(*r.merged), netlist_to_string(nl));
+    }
     return r;
 }
 
@@ -316,10 +320,10 @@ TEST(MegascaleHier, TopHpwlAndBlockPlacementsArePinned) {
     const HierFlowResult r = run_small_hier(0.65);
     ASSERT_FALSE(r.top.failed()) << r.top.error;
     EXPECT_TRUE(r.top.legal);
-    EXPECT_EQ(r.top.hpwl_um, 7070.68);
-    const Rect expected[] = {{0, 0, 16000, 16800},
-                             {17080, 0, 33280, 16800},
-                             {0, 18480, 16100, 36080}};
+    EXPECT_EQ(r.top.hpwl_um, 7130.92);
+    const Rect expected[] = {{0, 0, 16400, 17600},
+                             {17520, 0, 34120, 17600},
+                             {0, 19320, 16500, 37720}};
     ASSERT_EQ(r.blocks.size(), std::size(expected));
     for (std::size_t b = 0; b < r.blocks.size(); ++b) {
         EXPECT_TRUE(r.blocks[b].flow.legal) << "block " << b;
@@ -333,8 +337,8 @@ TEST(MegascaleHier, MergedDesignIsPinnedAcrossWorkerCounts) {
     // instance changes the hash at every worker count, which a
     // worker-vs-worker comparison cannot see.
     const std::pair<int, std::uint64_t> pinned[] = {
-        {3, 0x3da333abb3782551ull},
-        {8, 0xdd31b0d308168cb0ull},
+        {3, 0x7900e7c11ad8d8f1ull},
+        {8, 0x43bfa004e57d1d85ull},
     };
     for (const auto& [blocks, hash] : pinned) {
         for (const int workers : {1, 2, 4}) {
@@ -349,6 +353,61 @@ TEST(MegascaleHier, MergedDesignIsPinnedAcrossWorkerCounts) {
             ASSERT_EQ(r.blocks.size(), static_cast<std::size_t>(blocks));
             for (const HierBlockResult& b : r.blocks) {
                 EXPECT_EQ(b.flow.mapped, nullptr);
+            }
+        }
+    }
+}
+
+TEST(MegascaleHier, BlockPlacementsHoldTheirCellsAndDoNotOverlap) {
+    // Each cell's footprint (legalizer width, one row high) must lie inside
+    // its block's placement, and the placements must be disjoint, so cells
+    // of different blocks never overlap. Small blocks are the hard case:
+    // their 5% margin can be narrower than one cell or one row.
+    struct Case {
+        Netlist nl;
+        int blocks;
+    };
+    Case cases[] = {
+        {generate_adder(lib28(), 8), 4},
+        {generate_mesh(lib28(), 300, 5, 1), 4},
+        {small_mesh(), 3},
+        {small_mesh(), 8},
+    };
+    const TechnologyNode node = *find_node("28nm");
+    for (const Case& c : cases) {
+        // run_hier_flow partitions the same way, and every block places on
+        // the same rows and sites.
+        const HierPartition part = partition_min_cut(c.nl, c.blocks);
+        const PlacementArea rows = make_placement_area(c.nl, node);
+        for (const int workers : {1, 4}) {
+            SCOPED_TRACE(c.nl.name() + ", " + std::to_string(c.blocks) + " blocks, " +
+                         std::to_string(workers) + " workers");
+            HierParams hp;
+            hp.num_blocks = c.blocks;
+            hp.workers = workers;
+            hp.block_flow.seed = 3;
+            hp.block_flow.utilization = 0.65;
+            const HierFlowResult r = run_hier_flow(c.nl, node, hp);
+            ASSERT_FALSE(r.top.failed()) << r.top.error;
+            ASSERT_NE(r.merged, nullptr);
+            ASSERT_EQ(r.blocks.size(), static_cast<std::size_t>(c.blocks));
+
+            std::size_t outside = 0;
+            for (InstId i = 0; i < r.merged->num_instances(); ++i) {
+                const Instance& inst = r.merged->instance(i);
+                ASSERT_TRUE(inst.placed);
+                const Point far{inst.position.x + cell_width_nm(*r.merged, i, rows),
+                                inst.position.y + rows.row_height};
+                const Rect& slot =
+                    r.blocks[static_cast<std::size_t>(part.block_of[i])].placement;
+                if (!slot.contains(inst.position) || !slot.contains(far)) ++outside;
+            }
+            EXPECT_EQ(outside, 0u);
+            for (std::size_t a = 0; a < r.blocks.size(); ++a) {
+                for (std::size_t b = a + 1; b < r.blocks.size(); ++b) {
+                    EXPECT_FALSE(r.blocks[a].placement.intersects(r.blocks[b].placement))
+                        << "blocks " << a << " and " << b;
+                }
             }
         }
     }

@@ -7,7 +7,6 @@
 #include "janus/netlist/generator.hpp"
 #include "janus/place/analytic_place.hpp"
 #include "janus/place/congestion.hpp"
-#include "janus/place/floorplan.hpp"
 #include "janus/place/legalize.hpp"
 #include "janus/place/sa_place.hpp"
 #include "janus/route/global_router.hpp"
@@ -35,67 +34,6 @@ Netlist placed_design(std::uint64_t seed, std::size_t gates, PlacementArea* area
     legalize(nl, area);
     if (area_out) *area_out = area;
     return nl;
-}
-
-// --------------------------------------------------------------- floorplan
-
-TEST(Floorplan, BlocksDoNotOverlap) {
-    std::vector<Block> blocks;
-    for (int i = 0; i < 8; ++i) {
-        Block b;
-        b.name = "b" + std::to_string(i);
-        b.area_um2 = 100.0 * (1 + i % 3);
-        blocks.push_back(b);
-    }
-    const auto res = floorplan(blocks);
-    ASSERT_EQ(res.blocks.size(), blocks.size());
-    for (std::size_t i = 0; i < res.blocks.size(); ++i) {
-        for (std::size_t j = i + 1; j < res.blocks.size(); ++j) {
-            // Shrink by 1 nm to tolerate shared edges.
-            const Rect a = res.blocks[i].rect.inflated(-1);
-            EXPECT_FALSE(a.intersects(res.blocks[j].rect.inflated(-1)))
-                << i << " vs " << j;
-        }
-    }
-    EXPECT_GT(res.utilization, 0.5);  // SA should pack reasonably
-}
-
-TEST(Floorplan, AreasPreserved) {
-    std::vector<Block> blocks(4);
-    for (std::size_t i = 0; i < 4; ++i) {
-        blocks[i].name = "b";
-        blocks[i].area_um2 = 50.0;
-    }
-    const auto res = floorplan(blocks);
-    for (const auto& pb : res.blocks) {
-        const double area_um2 =
-            static_cast<double>(pb.rect.width()) * static_cast<double>(pb.rect.height()) * 1e-6;
-        EXPECT_NEAR(area_um2, 50.0, 5.0);
-    }
-}
-
-TEST(Floorplan, ConnectivityPullsBlocksTogether) {
-    // Two heavily connected blocks among 8: their distance should not be
-    // the maximum one.
-    std::vector<Block> blocks(8);
-    for (auto& b : blocks) b.area_um2 = 100.0;
-    blocks[0].connections.push_back({1, 50.0});
-    blocks[1].connections.push_back({0, 50.0});
-    FloorplanOptions opts;
-    opts.wirelength_weight = 2.0;
-    opts.seed = 3;
-    const auto res = floorplan(blocks, opts);
-    const double d01 = static_cast<double>(
-        manhattan(res.blocks[0].rect.center(), res.blocks[1].rect.center()));
-    double dmax = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        for (std::size_t j = i + 1; j < 8; ++j) {
-            dmax = std::max(dmax, static_cast<double>(manhattan(
-                                      res.blocks[i].rect.center(),
-                                      res.blocks[j].rect.center())));
-        }
-    }
-    EXPECT_LT(d01, dmax);
 }
 
 // --------------------------------------------------------------- placement

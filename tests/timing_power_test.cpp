@@ -4,7 +4,6 @@
 
 #include "janus/netlist/generator.hpp"
 #include "janus/power/activity.hpp"
-#include "janus/power/clock_gating.hpp"
 #include "janus/power/decap.hpp"
 #include "janus/power/power_grid.hpp"
 #include "janus/power/power_intent.hpp"
@@ -242,38 +241,6 @@ TEST(PowerIntent, CrossingCountsAndDoubleAssignThrows) {
     dup.voltage = 0.9;
     dup.members = {g0};
     EXPECT_THROW(intent.add_domain(dup), std::invalid_argument);
-}
-
-// ------------------------------------------------------------ clock gating
-
-TEST(ClockGating, GatesLowActivityFlops) {
-    // Counter bits toggle progressively less: higher bits are candidates.
-    const Netlist nl = generate_counter(lib28(), 12);
-    const auto node = *find_node("28nm");
-    ActivityOptions aopts;
-    aopts.pi_toggle_rate = 0.02;    // enable rarely changes
-    aopts.flop_toggle_rate = 0.02;  // state mostly idle
-    const auto act = estimate_activity(nl, aopts);
-    ClockGatingOptions opts;
-    opts.min_group_size = 2;
-    const auto plan = plan_clock_gating(nl, node, act, opts);
-    EXPECT_GT(plan.total_flops, 0u);
-    EXPECT_GT(plan.gated_flops, 0u);
-    EXPECT_GT(plan.saving_fraction(), 0.0);
-    EXPECT_LT(plan.gated_clock_mw, plan.baseline_clock_mw);
-}
-
-TEST(ClockGating, NoCandidatesNoSavings) {
-    const Netlist nl = generate_counter(lib28(), 4);
-    const auto node = *find_node("28nm");
-    ActivityOptions aopts;
-    aopts.pi_toggle_rate = 0.9;  // everything toggles hard
-    const auto act = estimate_activity(nl, aopts);
-    ClockGatingOptions opts;
-    opts.activity_threshold = 0.01;
-    const auto plan = plan_clock_gating(nl, node, act, opts);
-    EXPECT_EQ(plan.gated_flops, 0u);
-    EXPECT_DOUBLE_EQ(plan.gated_clock_mw, plan.baseline_clock_mw);
 }
 
 // -------------------------------------------------------------- power grid

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "janus/util/disjoint_set.hpp"
 #include "janus/util/geometry.hpp"
 #include "janus/util/rng.hpp"
 #include "janus/util/stats.hpp"
@@ -178,36 +177,6 @@ TEST(Stats, GeometricMean) {
     EXPECT_DOUBLE_EQ(geometric_mean({4.0, 1.0}), 2.0);
     EXPECT_NEAR(geometric_mean({2.0, 8.0}), 4.0, 1e-12);
     EXPECT_EQ(geometric_mean({}), 0.0);
-}
-
-// ------------------------------------------------------------ disjoint set
-
-TEST(DisjointSet, SingletonsAtStart) {
-    DisjointSet ds(5);
-    EXPECT_EQ(ds.num_sets(), 5u);
-    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(ds.find(i), i);
-}
-
-TEST(DisjointSet, UniteAndFind) {
-    DisjointSet ds(6);
-    EXPECT_TRUE(ds.unite(0, 1));
-    EXPECT_TRUE(ds.unite(2, 3));
-    EXPECT_FALSE(ds.unite(1, 0));
-    EXPECT_TRUE(ds.same(0, 1));
-    EXPECT_FALSE(ds.same(0, 2));
-    EXPECT_TRUE(ds.unite(1, 3));
-    EXPECT_TRUE(ds.same(0, 2));
-    EXPECT_EQ(ds.num_sets(), 3u);
-    EXPECT_EQ(ds.set_size(3), 4u);
-}
-
-TEST(DisjointSet, AddGrows) {
-    DisjointSet ds(2);
-    const std::size_t id = ds.add();
-    EXPECT_EQ(id, 2u);
-    EXPECT_EQ(ds.num_sets(), 3u);
-    ds.unite(id, 0);
-    EXPECT_TRUE(ds.same(2, 0));
 }
 
 // ------------------------------------------------------------- thread pool
