@@ -17,7 +17,8 @@
 /// `--smoke` runs a scaled-down version plus the worker-count identity
 /// gate (merged result byte-identical for 1 vs 3 vs 4 workers, its netlist
 /// text equal to the input's) for ctest, and prints the process's peak RSS.
-/// Both modes exit 1 when a check fails.
+/// Both modes check that every merged cell sits on the node's row/site
+/// grid, and exit 1 when a check fails.
 
 #include <chrono>
 #include <cmath>
@@ -31,6 +32,7 @@
 #include "janus/logic/aig.hpp"
 #include "janus/netlist/generator.hpp"
 #include "janus/netlist/io.hpp"
+#include "janus/place/analytic_place.hpp"
 
 using namespace janus;
 
@@ -97,6 +99,22 @@ std::string design_fingerprint(const Netlist& nl) {
     return os.str();
 }
 
+/// Placed cells of `nl` whose origin is off the row/site grid: every block
+/// of a hierarchical run places on the same rows and sites of `node`, so
+/// the merged design must keep its cells on that one grid.
+std::size_t off_grid_cells(const Netlist& nl, const TechnologyNode& node) {
+    const PlacementArea grid = make_placement_area(nl, node);
+    std::size_t off = 0;
+    for (InstId i = 0; i < nl.num_instances(); ++i) {
+        const Instance& inst = nl.instance(i);
+        if (inst.placed && (inst.position.x % grid.site_width != 0 ||
+                            inst.position.y % grid.row_height != 0)) {
+            ++off;
+        }
+    }
+    return off;
+}
+
 struct RunStats {
     double flow_s = 0;
     double inst_per_day = 0;
@@ -145,10 +163,11 @@ int run_smoke(const std::shared_ptr<const CellLibrary>& lib,
         merged_is_input =
             merged_is_input && netlist_to_string(*parallel.hier.merged) == input_text;
     }
+    const std::size_t off_grid = off_grid_cells(*serial.hier.merged, node);
     std::printf("  hier: %zu blocks, cut %zu, %zu boundary nets, not routed at "
-                "top, wns %.1f ps\n",
+                "top, wns %.1f ps, %zu cells off the row/site grid\n",
                 serial.hier.blocks.size(), serial.hier.cut_nets,
-                serial.hier.boundary_nets, serial.hier.top.wns_ps);
+                serial.hier.boundary_nets, serial.hier.top.wns_ps, off_grid);
     std::printf("  peak rss %.0f MiB\n", bench::peak_rss_mb());
 
     bool ok = bench::shape_check("storage shrink at least 2x vs legacy layout",
@@ -160,6 +179,7 @@ int run_smoke(const std::shared_ptr<const CellLibrary>& lib,
                              merged_is_input);
     ok &= bench::shape_check("top-level STA produced a critical path",
                              serial.hier.top.critical_delay_ps > 0);
+    ok &= bench::shape_check("every merged cell on the row/site grid", off_grid == 0);
     return ok ? 0 : 1;
 }
 
@@ -214,8 +234,10 @@ int main(int argc, char** argv) {
         std::printf("FAIL: %s\n", hier.top.error.c_str());
         return 1;
     }
-    std::printf("  cut %zu nets, %zu boundary nets, not routed at top\n",
-                hier.cut_nets, hier.boundary_nets);
+    const std::size_t off_grid = off_grid_cells(*hier.merged, node);
+    std::printf("  cut %zu nets, %zu boundary nets, not routed at top; %zu "
+                "cells off the row/site grid\n",
+                hier.cut_nets, hier.boundary_nets, off_grid);
     std::printf("  top: %zu instances, hpwl %.0f um, critical %.1f ps, "
                 "wns %.1f ps\n",
                 hier.top.instances, hier.top.hpwl_um,
@@ -254,5 +276,6 @@ int main(int argc, char** argv) {
                              hier.top.instances == nl.num_instances());
     ok &= bench::shape_check("flow throughput exceeds 1M instances/day",
                              rs.inst_per_day > 1e6);
+    ok &= bench::shape_check("every merged cell on the row/site grid", off_grid == 0);
     return ok ? 0 : 1;
 }

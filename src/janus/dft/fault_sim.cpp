@@ -5,39 +5,6 @@
 namespace janus {
 namespace {
 
-std::uint64_t eval_bitwise(CellFunction fn, std::uint64_t a, std::uint64_t b,
-                           std::uint64_t c, std::uint64_t d) {
-    switch (fn) {
-        case CellFunction::Const0: return 0;
-        case CellFunction::Const1: return ~0ull;
-        case CellFunction::Buf: return a;
-        case CellFunction::Inv: return ~a;
-        case CellFunction::And2: return a & b;
-        case CellFunction::And3: return a & b & c;
-        case CellFunction::And4: return a & b & c & d;
-        case CellFunction::Nand2: return ~(a & b);
-        case CellFunction::Nand3: return ~(a & b & c);
-        case CellFunction::Nand4: return ~(a & b & c & d);
-        case CellFunction::Or2: return a | b;
-        case CellFunction::Or3: return a | b | c;
-        case CellFunction::Or4: return a | b | c | d;
-        case CellFunction::Nor2: return ~(a | b);
-        case CellFunction::Nor3: return ~(a | b | c);
-        case CellFunction::Nor4: return ~(a | b | c | d);
-        case CellFunction::Xor2: return a ^ b;
-        case CellFunction::Xnor2: return ~(a ^ b);
-        case CellFunction::Xor3: return a ^ b ^ c;
-        case CellFunction::Mux2: return (a & c) | (~a & b);  // a=sel, b, c
-        case CellFunction::Aoi21: return ~((a & b) | c);
-        case CellFunction::Oai21: return ~((a | b) & c);
-        case CellFunction::Maj3: return (a & b) | (a & c) | (b & c);
-        case CellFunction::Dff:
-        case CellFunction::ScanDff:
-            throw std::logic_error("eval_bitwise: sequential cell");
-    }
-    return 0;
-}
-
 /// Core simulation with an optional injected fault.
 std::vector<std::uint64_t> simulate_core(const Netlist& nl,
                                          const PatternBatch& batch,
@@ -60,12 +27,11 @@ std::vector<std::uint64_t> simulate_core(const Netlist& nl,
     // vector walk, not a Kahn pass each time.
     for (const InstId i : nl.topological_order()) {
         const Instance& inst = nl.instance(i);
-        const CellFunction fn = nl.type_of(i).function;
-        const auto in = [&](int p) {
-            const NetId n = inst.fanin[static_cast<std::size_t>(p)];
-            return n == kNoNet ? 0ull : value[n];
-        };
-        value[inst.output] = eval_bitwise(fn, in(0), in(1), in(2), in(3));
+        std::uint64_t in[kMaxFanin];
+        for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
+            in[p] = inst.fanin[p] == kNoNet ? 0 : value[inst.fanin[p]];
+        }
+        value[inst.output] = apply_function(nl.type_of(i).function, WordAlgebra{}, in);
         inject(inst.output);
     }
     return value;

@@ -21,7 +21,6 @@
 #include "janus/timing/sizing.hpp"
 #include "janus/timing/sta.hpp"
 #include "janus/timing/timing_graph.hpp"
-#include "janus/util/log.hpp"
 #include "janus/util/thread_pool.hpp"
 
 namespace janus {
@@ -267,10 +266,6 @@ void FlowEngine::insert_stage(std::size_t pos, FlowStage stage) {
                    std::move(stage));
 }
 
-void FlowEngine::append_stage(FlowStage stage) {
-    stages_.push_back(std::move(stage));
-}
-
 FlowResult FlowEngine::run_until(FlowContext& ctx, std::size_t end_stage) const {
     const auto t0 = std::chrono::steady_clock::now();
     // Size/area fields are refreshed at every stage boundary (not just at
@@ -294,8 +289,6 @@ FlowResult FlowEngine::run_until(FlowContext& ctx, std::size_t end_stage) const 
             ctx.trace.add(std::move(entry));
             continue;
         }
-        ScopedLogContext log_ctx("flow:" + ctx.result.design + "/" +
-                                 stage.name);
         ctx.trace.take_pending_notes();  // drop any stale notes defensively
         const auto s0 = std::chrono::steady_clock::now();
         stage.run(ctx);

@@ -111,7 +111,6 @@ class FlowEngine {
     /// Injects a custom stage before position `pos` (end() when pos ==
     /// stages().size()). Throws std::out_of_range past the end.
     void insert_stage(std::size_t pos, FlowStage stage);
-    void append_stage(FlowStage stage);
 
     /// Runs every remaining stage (from ctx.next_stage) and finalizes the
     /// QoR record; acts as "resume" on a partially-run context. Populates

@@ -297,6 +297,7 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     const int workers = std::max(1, params.workers);
     out.blocks.resize(static_cast<std::size_t>(k));
     std::vector<Rect> extents(static_cast<std::size_t>(k));
+    PlacementArea grid;  // every block places on the node's rows and sites
     bool block_failed = false;
     {
         FlowEngine engine;
@@ -323,10 +324,8 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
                 if (!block_failed) out.top.error = "hier: block flow failed: " + r.error;
                 block_failed = true;
             } else if (!block_failed) {
-                extents[sb] = write_back(
-                    *r.mapped, slices[sb].insts,
-                    make_placement_area(*r.mapped, node, params.block_flow.utilization),
-                    *merged);
+                grid = make_placement_area(*r.mapped, node, params.block_flow.utilization);
+                extents[sb] = write_back(*r.mapped, slices[sb].insts, grid, *merged);
             }
             r.mapped.reset();
             slices[sb] = {};
@@ -336,7 +335,9 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     if (block_failed) return out;
 
     // Floorplan: blocks tiled on a ceil(sqrt(K)) grid of uniform slots
-    // sized by the largest block extent (positions are nm).
+    // sized by the largest block extent (positions are nm). A slot is a
+    // whole number of sites wide and of rows high, so every block keeps its
+    // cells on one row/site grid with the others.
     const auto cols = static_cast<std::int64_t>(std::ceil(std::sqrt(static_cast<double>(k))));
     std::int64_t max_w = 1, max_h = 1;
     for (const Rect& e : extents) {
@@ -345,8 +346,13 @@ HierFlowResult run_hier_flow(const Netlist& nl, const TechnologyNode& node,
     }
     const auto margin = static_cast<std::int64_t>(
         kFloorplanMargin * static_cast<double>(std::max(max_w, max_h)));
-    const std::int64_t slot_w = max_w + std::max<std::int64_t>(margin, 1);
-    const std::int64_t slot_h = max_h + std::max<std::int64_t>(margin, 1);
+    const auto round_up = [](std::int64_t v, std::int64_t unit) {
+        return (v + unit - 1) / unit * unit;
+    };
+    const std::int64_t slot_w =
+        round_up(max_w + std::max<std::int64_t>(margin, 1), grid.site_width);
+    const std::int64_t slot_h =
+        round_up(max_h + std::max<std::int64_t>(margin, 1), grid.row_height);
     std::vector<Point> offsets(extents.size());
     for (std::size_t b = 0; b < extents.size(); ++b) {
         const Rect& e = extents[b];

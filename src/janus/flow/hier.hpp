@@ -75,6 +75,8 @@ struct HierBlockResult {
     /// Region assigned in the merged floorplan (nm). It holds every placed
     /// cell of the block whole (legalizer width, one row high), and no two
     /// blocks' regions overlap, so cells of different blocks never overlap.
+    /// Slots are whole sites wide and whole rows high, so every merged
+    /// cell stays on the row/site grid the blocks place on.
     Rect placement;
 };
 

@@ -288,53 +288,11 @@ Aig Aig::from_netlist(const Netlist& nl) {
     for (const InstId i : nl.topological_order()) {
         const Instance& inst = nl.instance(i);
         const CellFunction fn = nl.type_of(i).function;
-        const auto in = [&](int p) { return net_lit[inst.fanin[static_cast<std::size_t>(p)]]; };
-        AigLit y = 0;
-        switch (fn) {
-            case CellFunction::Const0: y = const0(); break;
-            case CellFunction::Const1: y = const1(); break;
-            case CellFunction::Buf: y = in(0); break;
-            case CellFunction::Inv: y = aig_not(in(0)); break;
-            case CellFunction::And2: y = aig.land(in(0), in(1)); break;
-            case CellFunction::And3: y = aig.land(aig.land(in(0), in(1)), in(2)); break;
-            case CellFunction::And4:
-                y = aig.land(aig.land(in(0), in(1)), aig.land(in(2), in(3)));
-                break;
-            case CellFunction::Nand2: y = aig_not(aig.land(in(0), in(1))); break;
-            case CellFunction::Nand3:
-                y = aig_not(aig.land(aig.land(in(0), in(1)), in(2)));
-                break;
-            case CellFunction::Nand4:
-                y = aig_not(aig.land(aig.land(in(0), in(1)), aig.land(in(2), in(3))));
-                break;
-            case CellFunction::Or2: y = aig.lor(in(0), in(1)); break;
-            case CellFunction::Or3: y = aig.lor(aig.lor(in(0), in(1)), in(2)); break;
-            case CellFunction::Or4:
-                y = aig.lor(aig.lor(in(0), in(1)), aig.lor(in(2), in(3)));
-                break;
-            case CellFunction::Nor2: y = aig_not(aig.lor(in(0), in(1))); break;
-            case CellFunction::Nor3:
-                y = aig_not(aig.lor(aig.lor(in(0), in(1)), in(2)));
-                break;
-            case CellFunction::Nor4:
-                y = aig_not(aig.lor(aig.lor(in(0), in(1)), aig.lor(in(2), in(3))));
-                break;
-            case CellFunction::Xor2: y = aig.lxor(in(0), in(1)); break;
-            case CellFunction::Xnor2: y = aig_not(aig.lxor(in(0), in(1))); break;
-            case CellFunction::Xor3: y = aig.lxor(aig.lxor(in(0), in(1)), in(2)); break;
-            case CellFunction::Mux2: y = aig.lmux(in(0), in(1), in(2)); break;
-            case CellFunction::Aoi21:
-                y = aig_not(aig.lor(aig.land(in(0), in(1)), in(2)));
-                break;
-            case CellFunction::Oai21:
-                y = aig_not(aig.land(aig.lor(in(0), in(1)), in(2)));
-                break;
-            case CellFunction::Maj3: y = aig.lmaj(in(0), in(1), in(2)); break;
-            case CellFunction::Dff:
-            case CellFunction::ScanDff:
-                throw std::logic_error("from_netlist: unexpected flop");
+        AigLit in[kMaxFanin] = {};
+        for (int p = 0; p < function_arity(fn); ++p) {
+            in[p] = net_lit[inst.fanin[static_cast<std::size_t>(p)]];
         }
-        net_lit[inst.output] = y;
+        net_lit[inst.output] = apply_function(fn, aig, in);
     }
     for (const auto& [name, net] : nl.primary_outputs()) {
         aig.add_output(name, net_lit[net]);

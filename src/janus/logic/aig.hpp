@@ -39,6 +39,10 @@ class Aig {
     /// Literal of input i.
     AigLit input(std::size_t i) const { return aig_lit(inputs_.at(i), false); }
 
+    /// Complemented literal. With land() and the three after it, the Aig
+    /// is a Boolean algebra that apply_function() (cell_library.hpp) builds
+    /// cells through.
+    static constexpr AigLit lnot(AigLit a) { return aig_not(a); }
     /// Structurally hashed AND with constant/idempotence simplification.
     AigLit land(AigLit a, AigLit b);
     AigLit lor(AigLit a, AigLit b) { return aig_not(land(aig_not(a), aig_not(b))); }

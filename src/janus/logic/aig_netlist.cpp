@@ -120,112 +120,4 @@ Netlist netlist_from_aiger(const AigerDesign& design,
     return nl;
 }
 
-AigerDesign aiger_from_netlist(const Netlist& nl) {
-    AigerDesign d;
-    d.name = nl.name();
-    Aig& g = d.aig;
-
-    constexpr AigLit kUnset = 0xFFFFFFFFu;
-    std::vector<AigLit> lit_of(nl.num_nets(), kUnset);
-
-    for (const NetId pi : nl.primary_inputs()) {
-        lit_of[pi] = g.add_input(std::string(nl.net_name(pi)));
-    }
-    d.num_inputs = nl.primary_inputs().size();
-
-    const std::vector<InstId> seq = nl.sequential_instances();
-    for (const InstId id : seq) {
-        const NetId q = nl.instance(id).output;
-        lit_of[q] = g.add_input(std::string(nl.net_name(q)));
-    }
-
-    const auto in_lit = [&](InstId id, int pin) {
-        const NetId n = nl.instance(id).fanin[static_cast<std::size_t>(pin)];
-        if (n == kNoNet || lit_of.at(n) == kUnset) {
-            throw std::runtime_error("aiger_from_netlist: instance " +
-                                     std::string(nl.instance_name(id)) +
-                                     " reads an undriven net");
-        }
-        return lit_of[n];
-    };
-
-    for (const InstId id : nl.topological_order()) {
-        const CellFunction fn = nl.type_of(id).function;
-        const int arity = function_arity(fn);
-        AigLit f[kMaxFanin] = {0, 0, 0, 0};
-        for (int p = 0; p < arity; ++p) f[p] = in_lit(id, p);
-        AigLit out = 0;
-        switch (fn) {
-            case CellFunction::Const0: out = Aig::const0(); break;
-            case CellFunction::Const1: out = Aig::const1(); break;
-            case CellFunction::Buf: out = f[0]; break;
-            case CellFunction::Inv: out = aig_not(f[0]); break;
-            case CellFunction::And2: out = g.land(f[0], f[1]); break;
-            case CellFunction::And3: out = g.land(g.land(f[0], f[1]), f[2]); break;
-            case CellFunction::And4:
-                out = g.land(g.land(f[0], f[1]), g.land(f[2], f[3]));
-                break;
-            case CellFunction::Nand2: out = aig_not(g.land(f[0], f[1])); break;
-            case CellFunction::Nand3:
-                out = aig_not(g.land(g.land(f[0], f[1]), f[2]));
-                break;
-            case CellFunction::Nand4:
-                out = aig_not(g.land(g.land(f[0], f[1]), g.land(f[2], f[3])));
-                break;
-            case CellFunction::Or2: out = g.lor(f[0], f[1]); break;
-            case CellFunction::Or3: out = g.lor(g.lor(f[0], f[1]), f[2]); break;
-            case CellFunction::Or4:
-                out = g.lor(g.lor(f[0], f[1]), g.lor(f[2], f[3]));
-                break;
-            case CellFunction::Nor2: out = aig_not(g.lor(f[0], f[1])); break;
-            case CellFunction::Nor3:
-                out = aig_not(g.lor(g.lor(f[0], f[1]), f[2]));
-                break;
-            case CellFunction::Nor4:
-                out = aig_not(g.lor(g.lor(f[0], f[1]), g.lor(f[2], f[3])));
-                break;
-            case CellFunction::Xor2: out = g.lxor(f[0], f[1]); break;
-            case CellFunction::Xnor2: out = aig_not(g.lxor(f[0], f[1])); break;
-            case CellFunction::Xor3: out = g.lxor(g.lxor(f[0], f[1]), f[2]); break;
-            case CellFunction::Mux2: out = g.lmux(f[0], f[1], f[2]); break;
-            case CellFunction::Aoi21:
-                out = aig_not(g.lor(g.land(f[0], f[1]), f[2]));
-                break;
-            case CellFunction::Oai21:
-                out = aig_not(g.land(g.lor(f[0], f[1]), f[2]));
-                break;
-            case CellFunction::Maj3: out = g.lmaj(f[0], f[1], f[2]); break;
-            case CellFunction::Dff:
-            case CellFunction::ScanDff:
-                // Sequential cells are sources here; topological_order()
-                // never yields them.
-                throw std::runtime_error(
-                    "aiger_from_netlist: sequential cell in combinational order");
-        }
-        lit_of[nl.instance(id).output] = out;
-    }
-
-    for (const auto& [nm, net] : nl.primary_outputs()) {
-        if (lit_of.at(net) == kUnset) {
-            throw std::runtime_error("aiger_from_netlist: output " + nm +
-                                     " observes an undriven net");
-        }
-        g.add_output(nm, lit_of[net]);
-    }
-    for (const InstId id : seq) {
-        const Instance& inst = nl.instance(id);
-        AigerLatch l;
-        l.name = std::string(nl.net_name(inst.output));
-        if (nl.type_of(id).function == CellFunction::ScanDff) {
-            // Keep scan semantics: next = se ? si : d.
-            l.next = g.lmux(in_lit(id, 2), in_lit(id, 0), in_lit(id, 1));
-        } else {
-            l.next = in_lit(id, 0);
-        }
-        d.latches.push_back(std::move(l));
-    }
-    d.file_ands = g.num_ands();
-    return d;
-}
-
 }  // namespace janus

@@ -1,8 +1,5 @@
 #include "janus/netlist/cell_library.hpp"
 
-#include <cassert>
-#include <stdexcept>
-
 namespace janus {
 
 int function_arity(CellFunction fn) {
@@ -41,36 +38,10 @@ bool is_sequential(CellFunction fn) {
 }
 
 bool evaluate_function(CellFunction fn, unsigned in) {
-    const bool a = in & 1u, b = in & 2u, c = in & 4u, d = in & 8u;
-    switch (fn) {
-        case CellFunction::Const0: return false;
-        case CellFunction::Const1: return true;
-        case CellFunction::Buf: return a;
-        case CellFunction::Inv: return !a;
-        case CellFunction::And2: return a && b;
-        case CellFunction::And3: return a && b && c;
-        case CellFunction::And4: return a && b && c && d;
-        case CellFunction::Nand2: return !(a && b);
-        case CellFunction::Nand3: return !(a && b && c);
-        case CellFunction::Nand4: return !(a && b && c && d);
-        case CellFunction::Or2: return a || b;
-        case CellFunction::Or3: return a || b || c;
-        case CellFunction::Or4: return a || b || c || d;
-        case CellFunction::Nor2: return !(a || b);
-        case CellFunction::Nor3: return !(a || b || c);
-        case CellFunction::Nor4: return !(a || b || c || d);
-        case CellFunction::Xor2: return a != b;
-        case CellFunction::Xnor2: return a == b;
-        case CellFunction::Xor3: return (a != b) != c;
-        case CellFunction::Mux2: return a ? c : b;
-        case CellFunction::Aoi21: return !((a && b) || c);
-        case CellFunction::Oai21: return !((a || b) && c);
-        case CellFunction::Maj3: return (a && b) || (a && c) || (b && c);
-        case CellFunction::Dff:
-        case CellFunction::ScanDff:
-            throw std::logic_error("evaluate_function: sequential cell");
-    }
-    return false;
+    // Bit m of projection word p is bit p of m, so bit m of the result is
+    // fn at input assignment m: the function's whole truth table at once.
+    static constexpr WordAlgebra::Word kProjection[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
+    return (apply_function(fn, WordAlgebra{}, kProjection) >> (in & 15u)) & 1u;
 }
 
 std::string function_name(CellFunction fn) {

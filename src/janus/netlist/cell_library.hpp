@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,10 +34,78 @@ int function_arity(CellFunction fn);
 /// True for DFF/SCAN_DFF.
 bool is_sequential(CellFunction fn);
 /// Evaluates a combinational function on packed input bits (bit i of
-/// `inputs` is logic input i). Must not be called for sequential cells.
+/// `inputs` is logic input i; bits above 3 are ignored). Throws
+/// std::logic_error for sequential cells.
 bool evaluate_function(CellFunction fn, unsigned inputs);
 /// Canonical cell name for a function ("NAND2", "DFF", ...).
 std::string function_name(CellFunction fn);
+
+/// The one definition of what each combinational cell function computes,
+/// written over any Boolean algebra `alg` that provides const0(), const1(),
+/// lnot(a), land(a, b), lor(a, b), lxor(a, b), lmux(sel, a, b) (= sel ? b : a)
+/// and lmaj(a, b, c). in[p] is logic input p; only the first
+/// function_arity(fn) entries are read. Throws std::logic_error for
+/// sequential cells.
+///
+/// Evaluation and 64-way simulation run it on WordAlgebra; Aig itself is an
+/// algebra whose values are literals, so Aig::from_netlist builds each cell
+/// through it. A four-input cell builds its (in[2], in[3]) term first, into
+/// a named temporary, then the (in[0], in[1]) term, then the term joining
+/// them; every other formula passes at most one new term to each call. So
+/// the order in which an Aig creates nodes is fixed here, not left to the
+/// compiler's unspecified order of argument evaluation.
+template <typename Algebra, typename V>
+V apply_function(CellFunction fn, Algebra&& alg, const V* in) {
+    const auto and4 = [&] {
+        const V cd = alg.land(in[2], in[3]);
+        return alg.land(alg.land(in[0], in[1]), cd);
+    };
+    const auto or4 = [&] {
+        const V cd = alg.lor(in[2], in[3]);
+        return alg.lor(alg.lor(in[0], in[1]), cd);
+    };
+    switch (fn) {
+        case CellFunction::Const0: return alg.const0();
+        case CellFunction::Const1: return alg.const1();
+        case CellFunction::Buf: return in[0];
+        case CellFunction::Inv: return alg.lnot(in[0]);
+        case CellFunction::And2: return alg.land(in[0], in[1]);
+        case CellFunction::And3: return alg.land(alg.land(in[0], in[1]), in[2]);
+        case CellFunction::And4: return and4();
+        case CellFunction::Nand2: return alg.lnot(alg.land(in[0], in[1]));
+        case CellFunction::Nand3: return alg.lnot(alg.land(alg.land(in[0], in[1]), in[2]));
+        case CellFunction::Nand4: return alg.lnot(and4());
+        case CellFunction::Or2: return alg.lor(in[0], in[1]);
+        case CellFunction::Or3: return alg.lor(alg.lor(in[0], in[1]), in[2]);
+        case CellFunction::Or4: return or4();
+        case CellFunction::Nor2: return alg.lnot(alg.lor(in[0], in[1]));
+        case CellFunction::Nor3: return alg.lnot(alg.lor(alg.lor(in[0], in[1]), in[2]));
+        case CellFunction::Nor4: return alg.lnot(or4());
+        case CellFunction::Xor2: return alg.lxor(in[0], in[1]);
+        case CellFunction::Xnor2: return alg.lnot(alg.lxor(in[0], in[1]));
+        case CellFunction::Xor3: return alg.lxor(alg.lxor(in[0], in[1]), in[2]);
+        case CellFunction::Mux2: return alg.lmux(in[0], in[1], in[2]);
+        case CellFunction::Aoi21: return alg.lnot(alg.lor(alg.land(in[0], in[1]), in[2]));
+        case CellFunction::Oai21: return alg.lnot(alg.land(alg.lor(in[0], in[1]), in[2]));
+        case CellFunction::Maj3: return alg.lmaj(in[0], in[1], in[2]);
+        case CellFunction::Dff:
+        case CellFunction::ScanDff: break;
+    }
+    throw std::logic_error("apply_function: sequential cell");
+}
+
+/// 64 independent Boolean evaluations at once, one per bit of a word.
+struct WordAlgebra {
+    using Word = std::uint64_t;
+    static constexpr Word const0() { return 0; }
+    static constexpr Word const1() { return ~Word{0}; }
+    static constexpr Word lnot(Word a) { return ~a; }
+    static constexpr Word land(Word a, Word b) { return a & b; }
+    static constexpr Word lor(Word a, Word b) { return a | b; }
+    static constexpr Word lxor(Word a, Word b) { return a ^ b; }
+    static constexpr Word lmux(Word sel, Word a, Word b) { return (sel & b) | (~sel & a); }
+    static constexpr Word lmaj(Word a, Word b, Word c) { return (a & b) | (a & c) | (b & c); }
+};
 
 /// One library cell ("NAND2_X1"): function plus physical/electrical view.
 struct CellType {

@@ -274,12 +274,6 @@ double Netlist::total_area() const {
     return a;
 }
 
-double Netlist::total_leakage_nw() const {
-    double l = 0;
-    for (InstId i = 0; i < instances_.size(); ++i) l += type_of(i).leakage_nw;
-    return l;
-}
-
 std::size_t Netlist::memory_bytes() const {
     std::size_t bytes = sizeof(*this);
     bytes += instances_.capacity() * sizeof(Instance);

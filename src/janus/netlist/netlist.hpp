@@ -187,8 +187,6 @@ class Netlist {
     int logic_depth() const;
     /// Sum of instance cell areas in um^2.
     double total_area() const;
-    /// Sum of instance leakage in nW.
-    double total_leakage_nw() const;
 
     /// Total heap footprint of the design storage: instance/net arrays, the
     /// interned name pool, primary-port records, and the current sink-CSR /

@@ -43,8 +43,6 @@ class NetBBoxCache {
     std::size_t degree(NetId n) const {
         return insts_[n].size() + fixed_[n].size();
     }
-    /// Unique instances incident to `n` (driver and sinks, deduplicated).
-    const std::vector<InstId>& insts_of(NetId n) const { return insts_[n]; }
     /// Unique nets incident to instance `i`, sorted ascending (so callers
     /// can binary-search for shared-net tests).
     const std::vector<NetId>& nets_of(InstId i) const { return nets_of_[i]; }

@@ -36,8 +36,6 @@ class PowerIntent {
     void add_domain(PowerDomain domain);
 
     const std::vector<PowerDomain>& domains() const { return domains_; }
-    /// Domain index of an instance (0 = default).
-    std::size_t domain_of(InstId inst) const { return domain_of_.at(inst); }
 
     /// Nets crossing from a shutdown-capable domain into another domain
     /// need isolation cells; returns the count.

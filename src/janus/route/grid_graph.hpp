@@ -44,11 +44,6 @@ struct GCellRect {
         return c.x >= x0 && c.x <= x1 && c.y >= y0 && c.y <= y1;
     }
 
-    bool overlaps(const GCellRect& o) const {
-        return !empty() && !o.empty() && x0 <= o.x1 && o.x0 <= x1 &&
-               y0 <= o.y1 && o.y0 <= y1;
-    }
-
     /// Grown by `margin` on every side (empty stays empty).
     GCellRect expanded(int margin) const {
         if (empty()) return *this;
@@ -81,13 +76,6 @@ class GridGraph {
     bool contains(const GCell& c) const {
         return c.x >= 0 && c.y >= 0 && c.x < width_ && c.y < height_;
     }
-
-    /// Usage of the edge from `c` toward +x (horizontal) or +y (vertical).
-    double h_usage(int x, int y) const { return h_usage_[h_index(x, y)]; }
-    double v_usage(int x, int y) const { return v_usage_[v_index(x, y)]; }
-    /// History cost accumulated by the negotiation loop.
-    double h_history(int x, int y) const { return h_hist_[h_index(x, y)]; }
-    double v_history(int x, int y) const { return v_hist_[v_index(x, y)]; }
 
     /// Cost of crossing an edge for the router: 1 + overflow penalty +
     /// history. `penalty` scales how hard full edges repel.

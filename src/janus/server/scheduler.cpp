@@ -5,7 +5,6 @@
 #include <mutex>
 #include <utility>
 
-#include "janus/util/log.hpp"
 #include "janus/util/thread_pool.hpp"
 
 namespace janus {
@@ -140,7 +139,6 @@ JobHandle FlowScheduler::submit(FlowJob job, JobPriority priority) {
             try {
                 FlowContext ctx(std::move(job.netlist), job.node, job.params);
                 for (const std::string& s : job.skip_stages) ctx.skip(s);
-                ScopedLogContext log_ctx("batch:" + ctx.result.design);
                 try {
                     engine->run_until(ctx, engine->stages().size());
                     // Keep the implemented netlist without an extra copy.

@@ -39,7 +39,6 @@ TimingGraph& Session::warm_graph(bool* rebuilt) {
         graph_ = std::make_unique<TimingGraph>(ctx_.netlist, sta_options());
         graph_->analyze();
         graph_epoch_ = epoch;
-        ++full_rebuilds_;
         if (rebuilt) *rebuilt = true;
     }
     return *graph_;
@@ -195,7 +194,6 @@ TimingOutcome Session::apply_eco(const std::vector<EcoEdit>& edits) {
                 break;
         }
     }
-    ++ecos_applied_;
 
     TimingOutcome out;
     const std::size_t comb = ctx_.netlist.topological_order().size();
@@ -211,7 +209,6 @@ TimingOutcome Session::apply_eco(const std::vector<EcoEdit>& edits) {
         const TimingUpdateStats stats = graph_->update();
         out.incremental = true;
         out.evals = stats.instances_reevaluated();
-        ++incremental_updates_;
     }
     out.hpwl_um = cached_hpwl();
     out.report = graph_->report();

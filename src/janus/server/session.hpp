@@ -93,11 +93,6 @@ class Session {
     /// is warm, else via full rebuild.
     TimingOutcome apply_eco(const std::vector<EcoEdit>& edits);
 
-    // --- observability ------------------------------------------------------
-    std::size_t ecos_applied() const { return ecos_applied_; }
-    std::size_t incremental_updates() const { return incremental_updates_; }
-    std::size_t full_rebuilds() const { return full_rebuilds_; }
-
   private:
     StaOptions sta_options() const;
     TimingGraph& warm_graph(bool* rebuilt);
@@ -124,10 +119,6 @@ class Session {
     std::unordered_map<NameId, NetId> net_by_name_;
     std::uint64_t names_epoch_ = 0;
     bool names_valid_ = false;
-
-    std::size_t ecos_applied_ = 0;
-    std::size_t incremental_updates_ = 0;
-    std::size_t full_rebuilds_ = 0;
 };
 
 /// Bounded registry of sessions with LRU eviction. Thread-safe; returned

@@ -1,7 +1,7 @@
 #pragma once
 /// \file rng.hpp
 /// Deterministic pseudo-random number generation. Every stochastic JanusEDA
-/// algorithm (SA placers, generators, ATPG) takes an explicit Rng so runs
+/// algorithm (SA placers, generators, the tuner) takes an explicit Rng so runs
 /// are reproducible from a seed; no global random state exists.
 
 #include <cstdint>

@@ -28,14 +28,8 @@ void ThreadPool::submit(std::function<void()> task) {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.push(std::move(task));
-        ++in_flight_;
     }
     task_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -50,11 +44,6 @@ void ThreadPool::worker_loop() {
             queue_.pop();
         }
         task();  // tasks must not throw; run_slots wraps user fns
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --in_flight_;
-            if (in_flight_ == 0) all_done_.notify_all();
-        }
     }
 }
 

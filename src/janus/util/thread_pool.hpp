@@ -36,10 +36,6 @@ class ThreadPool {
     /// order but may complete in any order.
     void submit(std::function<void()> task);
 
-    /// Blocks until every submitted task has finished executing (not just
-    /// been dequeued).
-    void wait_idle();
-
     /// Runs fn(slot) once for each slot in [0, slots) concurrently and
     /// blocks until all return. The slot id is stable for the duration of
     /// the call, so callers can hand each slot persistent private scratch
@@ -57,8 +53,6 @@ class ThreadPool {
     std::queue<std::function<void()>> queue_;
     mutable std::mutex mutex_;
     std::condition_variable task_ready_;
-    std::condition_variable all_done_;
-    std::size_t in_flight_ = 0;  ///< queued + currently executing
     bool stopping_ = false;
 };
 

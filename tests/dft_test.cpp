@@ -3,7 +3,6 @@
 #include <memory>
 #include <set>
 
-#include "janus/dft/atpg.hpp"
 #include "janus/dft/compression.hpp"
 #include "janus/dft/fault_sim.hpp"
 #include "janus/dft/scan.hpp"
@@ -147,31 +146,6 @@ TEST(FaultSim, BatchSimulationMatchesScalar) {
                 << "net " << n << " pattern " << p;
         }
     }
-}
-
-// -------------------------------------------------------------------- atpg
-
-TEST(Atpg, ReachesHighCoverageOnAdder) {
-    const Netlist nl = generate_adder(lib28(), 8);
-    AtpgOptions opts;
-    opts.target_coverage = 0.99;
-    const auto res = random_atpg(nl, opts);
-    EXPECT_GT(res.coverage, 0.95);
-    EXPECT_FALSE(res.curve.empty());
-    // Coverage curve is monotone.
-    for (std::size_t i = 1; i < res.curve.size(); ++i) {
-        EXPECT_GE(res.curve[i].second, res.curve[i - 1].second);
-    }
-}
-
-TEST(Atpg, CoverageCountsConsistent) {
-    const Netlist nl = generate_comparator(lib28(), 6);
-    const auto res = random_atpg(nl);
-    const auto total = enumerate_faults(nl).size();
-    EXPECT_NEAR(res.coverage,
-                1.0 - static_cast<double>(res.undetected.size()) /
-                          static_cast<double>(total),
-                1e-12);
 }
 
 // ------------------------------------------------------------- compression

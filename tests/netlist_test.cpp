@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <vector>
 
+#include "janus/dft/fault_sim.hpp"
+#include "janus/logic/aig.hpp"
 #include "janus/netlist/cell_library.hpp"
 #include "janus/netlist/generator.hpp"
 #include "janus/netlist/io.hpp"
@@ -75,6 +80,58 @@ TEST(CellLibrary, Aoi21Oai21) {
 
 TEST(CellLibrary, SequentialThrowsOnEvaluate) {
     EXPECT_THROW(evaluate_function(CellFunction::Dff, 0), std::logic_error);
+}
+
+TEST(CellLibrary, FourViewsOfEveryFunctionAgree) {
+    // Scalar evaluation, netlist simulation, 64-way batch simulation and the
+    // AIG built from a one-gate netlist must give the same value for every
+    // combinational function of the default library on every assignment.
+    const auto lib = lib28();
+    std::vector<CellFunction> functions;
+    for (const CellType& c : lib->cells()) {
+        if (!is_sequential(c.function) &&
+            std::find(functions.begin(), functions.end(), c.function) == functions.end()) {
+            functions.push_back(c.function);
+        }
+    }
+    ASSERT_EQ(functions.size(), 23u);
+    for (const CellFunction fn : functions) {
+        SCOPED_TRACE(function_name(fn));
+        const int arity = function_arity(fn);
+        Netlist nl(lib, "one_gate");
+        std::vector<NetId> pins;
+        for (int p = 0; p < arity; ++p) {
+            pins.push_back(nl.add_primary_input(std::string(1, static_cast<char>('a' + p))));
+        }
+        const InstId g = nl.add_instance("g", *lib->find_function(fn), pins);
+        const NetId y = nl.instance(g).output;
+        nl.add_primary_output("y", y);
+
+        // All 2^arity assignments in one batch: bit m of slot p is bit p of m.
+        const unsigned assignments = 1u << arity;
+        PatternBatch batch;
+        batch.count = static_cast<int>(assignments);
+        for (int p = 0; p < arity; ++p) {
+            std::uint64_t w = 0;
+            for (unsigned m = 0; m < assignments; ++m) {
+                if ((m >> p) & 1u) w |= 1ull << m;
+            }
+            batch.words.push_back(w);
+        }
+        const std::uint64_t sim = simulate_batch(nl, batch)[y];
+        const TruthTable aig = Aig::from_netlist(nl).output_truth_tables().at(0);
+        for (unsigned m = 0; m < assignments; ++m) {
+            SCOPED_TRACE("assignment " + std::to_string(m));
+            const bool want = evaluate_function(fn, m);
+            std::vector<bool> pi;
+            for (int p = 0; p < arity; ++p) pi.push_back((m >> p) & 1u);
+            EXPECT_EQ(nl.evaluate(pi, {})[y], want);
+            EXPECT_EQ(((sim >> m) & 1u) != 0, want);
+            EXPECT_EQ(aig.bit(m), want);
+        }
+    }
+    EXPECT_THROW(evaluate_function(CellFunction::Dff, 0), std::logic_error);
+    EXPECT_THROW(evaluate_function(CellFunction::ScanDff, 0), std::logic_error);
 }
 
 TEST(CellLibrary, DefaultLibraryComplete) {
