@@ -73,11 +73,11 @@ int main() {
     }
     std::printf("\npaper claim: OPC keeps 193 nm immersion viable where the raw\n"
                 "mask stops printing — the enabler of 14/10 nm without EUV.\n\n");
-    bench::shape_check("raw mask degrades/loses features at small widths",
-                       raw_fails_small);
-    bench::shape_check("model-based OPC holds the contour down to 90 nm lines",
-                       model_holds);
-    bench::shape_check("model-based OPC never prints worse than the raw mask",
-                       model_beats_raw);
-    return 0;
+    bool ok = bench::shape_check("raw mask degrades/loses features at small widths",
+                                 raw_fails_small);
+    ok &= bench::shape_check("model-based OPC holds the contour down to 90 nm lines",
+                             model_holds);
+    ok &= bench::shape_check("model-based OPC never prints worse than the raw mask",
+                             model_beats_raw);
+    return ok ? 0 : 1;
 }

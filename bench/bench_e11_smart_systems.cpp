@@ -110,14 +110,14 @@ int main() {
     std::printf("automated: %.0f weeks TTM, $%.0fk design cost\n\n",
                 automated.time_to_market_weeks, automated.design_cost_usd / 1e3);
 
-    bench::shape_check("holistic co-design solves every mission",
-                       holistic_meets == 3);
-    bench::shape_check("holistic wins (meets where ad-hoc fails, or cheaper)",
-                       holistic_wins == 3);
-    bench::shape_check("automated methodology at least halves time-to-market",
-                       automated.time_to_market_weeks <
-                           0.5 * expert.time_to_market_weeks);
-    bench::shape_check("automated methodology cuts design cost",
-                       automated.design_cost_usd < expert.design_cost_usd);
-    return 0;
+    bool ok = bench::shape_check("holistic co-design solves every mission",
+                                 holistic_meets == 3);
+    ok &= bench::shape_check("holistic wins (meets where ad-hoc fails, or cheaper)",
+                             holistic_wins == 3);
+    ok &= bench::shape_check("automated methodology at least halves time-to-market",
+                             automated.time_to_market_weeks <
+                                 0.5 * expert.time_to_market_weeks);
+    ok &= bench::shape_check("automated methodology cuts design cost",
+                             automated.design_cost_usd < expert.design_cost_usd);
+    return ok ? 0 : 1;
 }

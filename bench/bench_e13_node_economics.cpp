@@ -64,10 +64,10 @@ int main() {
                 100 * mature);
     std::printf("180nm share: %.1f%% (paper: >25%%), most designed node: %s\n\n",
                 100 * node180, max_node.c_str());
-    bench::shape_check(">90% of design starts at 28nm and above", mature > 0.9);
-    bench::shape_check("180nm takes >25% of starts", node180 > 0.25);
-    bench::shape_check("180nm is the most designed node", max_node == "180nm");
-    bench::shape_check("advanced nodes only for huge high-volume designs",
-                       advanced < 0.10);
-    return 0;
+    bool ok = bench::shape_check(">90% of design starts at 28nm and above", mature > 0.9);
+    ok &= bench::shape_check("180nm takes >25% of starts", node180 > 0.25);
+    ok &= bench::shape_check("180nm is the most designed node", max_node == "180nm");
+    ok &= bench::shape_check("advanced nodes only for huge high-volume designs",
+                             advanced < 0.10);
+    return ok ? 0 : 1;
 }

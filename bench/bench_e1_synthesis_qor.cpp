@@ -74,8 +74,8 @@ int main() {
     std::printf("\ngeomean improvement: area %.1f%%, delay %.1f%%, power %.1f%%\n",
                 100 * ga, 100 * gd, 100 * gp);
     std::printf("paper claim:         area ~30%%, performance ~30%%, power ~30%%\n\n");
-    bench::shape_check("area improves by >= 20%", ga >= 0.20);
-    bench::shape_check("delay improves", gd > 0.0);
-    bench::shape_check("power improves by >= 20%", gp >= 0.20);
-    return 0;
+    bool ok = bench::shape_check("area improves by >= 20%", ga >= 0.20);
+    ok &= bench::shape_check("delay improves", gd > 0.0);
+    ok &= bench::shape_check("power improves by >= 20%", gp >= 0.20);
+    return ok ? 0 : 1;
 }

@@ -56,23 +56,23 @@ int main() {
             monotone = false;
         }
     }
-    bench::shape_check("single patterning suffices at >= 160 nm pitch",
-                       min_k.front() == 1);
-    bench::shape_check("below 80 nm pitch single patterning fails",
-                       [&] {
-                           for (std::size_t i = 0; i < pitches.size(); ++i) {
-                               if (pitches[i] < 80 && min_k[i] == 1) return false;
-                           }
-                           return true;
-                       }());
-    bench::shape_check("required mask count never decreases as pitch shrinks",
-                       monotone);
-    bench::shape_check("multi-patterning recovers what single patterning cannot",
-                       [&] {
-                           for (std::size_t i = 0; i < pitches.size(); ++i) {
-                               if (min_k[i] > 1) return true;
-                           }
-                           return false;
-                       }());
-    return 0;
+    bool ok = bench::shape_check("single patterning suffices at >= 160 nm pitch",
+                                 min_k.front() == 1);
+    ok &= bench::shape_check("below 80 nm pitch single patterning fails",
+                             [&] {
+                                 for (std::size_t i = 0; i < pitches.size(); ++i) {
+                                     if (pitches[i] < 80 && min_k[i] == 1) return false;
+                                 }
+                                 return true;
+                             }());
+    ok &= bench::shape_check("required mask count never decreases as pitch shrinks",
+                             monotone);
+    ok &= bench::shape_check("multi-patterning recovers what single patterning cannot",
+                             [&] {
+                                 for (std::size_t i = 0; i < pitches.size(); ++i) {
+                                     if (min_k[i] > 1) return true;
+                                 }
+                                 return false;
+                             }());
+    return ok ? 0 : 1;
 }

@@ -99,7 +99,7 @@ int main() {
             MazeOptions lee;
             lee.use_astar = false;  // the classic Lee router of the era
             maze_route(grid, a, b, lee, &sm);
-            line_search_route(grid, a, b, {}, &sl);
+            line_search_route(grid, a, b, &sl);
             maze_expanded += sm.cells_expanded;
             ls_expanded += sl.cells_expanded;
         }
@@ -108,10 +108,10 @@ int main() {
     }
     const double saving = 100.0 * (1.0 - wafer_cost_usd(4) / wafer_cost_usd(6));
     std::printf("\n6->4 layer wafer cost saving: %.1f%% (paper: 15-20%%)\n\n", saving);
-    bench::shape_check("4 layers remain routable (<0.1% overflow)", ok4);
-    bench::shape_check("cost saving in the 13-22% band",
-                       saving >= 13.0 && saving <= 22.0);
-    bench::shape_check("line-search touches far fewer cells than maze",
-                       ls_expanded * 2 < maze_expanded);
-    return 0;
+    bool ok = bench::shape_check("4 layers remain routable (<0.1% overflow)", ok4);
+    ok &= bench::shape_check("cost saving in the 13-22% band",
+                             saving >= 13.0 && saving <= 22.0);
+    ok &= bench::shape_check("line-search touches far fewer cells than maze",
+                             ls_expanded * 2 < maze_expanded);
+    return ok ? 0 : 1;
 }

@@ -45,6 +45,7 @@ int main() {
     bench::banner("E4 bench_e4_power_domains", "Antun Domic (Synopsys)",
                   "scores of shutdown domains slash power, even at 180 nm");
 
+    bool ok = true;
     for (const char* node_name : {"180nm", "28nm"}) {
         const auto node = *find_node(node_name);
         const auto lib = bench::make_lib(node_name);
@@ -74,14 +75,14 @@ int main() {
         }
         const double best_saving = 100.0 * (1.0 - totals.back() / totals.front());
         std::printf("max saving at %s: %.1f%%\n", node_name, best_saving);
-        bench::shape_check("power falls monotonically with domain count",
-                           std::is_sorted(totals.rbegin(), totals.rend()));
-        bench::shape_check("shutdown domains save >= 25% of total power",
-                           best_saving >= 25.0);
+        ok &= bench::shape_check("power falls monotonically with domain count",
+                                 std::is_sorted(totals.rbegin(), totals.rend()));
+        ok &= bench::shape_check("shutdown domains save >= 25% of total power",
+                                 best_saving >= 25.0);
         const double step_first = totals[0] - totals[1];
         const double step_last = totals[totals.size() - 2] - totals.back();
-        bench::shape_check("diminishing returns (first step > last step)",
-                           step_first > step_last);
+        ok &= bench::shape_check("diminishing returns (first step > last step)",
+                                 step_first > step_last);
     }
 
     // Voltage-domain sweep: the panel's "voltage scaling" knob.
@@ -106,6 +107,6 @@ int main() {
         monotone &= (total <= prev);
         prev = total;
     }
-    bench::shape_check("power falls with supply voltage", monotone);
-    return 0;
+    ok &= bench::shape_check("power falls with supply voltage", monotone);
+    return ok ? 0 : 1;
 }

@@ -65,16 +65,16 @@ int main() {
     std::printf("tuner late half:  mean %.2f (stddev %.2f)\n\n", late.mean(),
                 late.stddev());
 
-    bench::shape_check("learned arm beats the static default's mean cost",
-                       tuned.best_mean_cost <= static_cost.mean());
-    bench::shape_check("late-phase mean cost <= early-phase (learning curve)",
-                       late.mean() <= early.mean() * 1.02);
-    bench::shape_check("late-phase variance shrinks (more consistent results)",
-                       late.stddev() <= early.stddev() * 1.05);
+    bool ok = bench::shape_check("learned arm beats the static default's mean cost",
+                                 tuned.best_mean_cost <= static_cost.mean());
+    ok &= bench::shape_check("late-phase mean cost <= early-phase (learning curve)",
+                             late.mean() <= early.mean() * 1.02);
+    ok &= bench::shape_check("late-phase variance shrinks (more consistent results)",
+                             late.stddev() <= early.stddev() * 1.05);
     // Exploitation: the learned arm received at least its fair share of
     // pulls (epsilon exploration plus noisy costs keep this stochastic).
-    bench::shape_check("learned arm pulled at least the uniform share",
-                       tuned.pulls[tuned.best_arm] >=
-                           static_cast<int>(tuned.history.size() / arms.size()));
-    return 0;
+    ok &= bench::shape_check("learned arm pulled at least the uniform share",
+                             tuned.pulls[tuned.best_arm] >=
+                                 static_cast<int>(tuned.history.size() / arms.size()));
+    return ok ? 0 : 1;
 }

@@ -62,7 +62,6 @@ int main() {
             }
         }
         DecapOptions dopts;
-        dopts.hotspot_drop_fraction = 0.05;
         dopts.decap_pf_per_step = 30.0;
         dopts.max_steps = 2000;
         const DecapResult res = insert_decaps(grid, dopts);
@@ -82,9 +81,9 @@ int main() {
     }
     std::printf("\npaper claim: standard-activity designs are fine; networking\n"
                 "(5x activity) needs automatic hotspot removal via decap.\n\n");
-    bench::shape_check("baseline activity has no hotspots", base_clean);
-    bench::shape_check("5x activity creates hotspots", net_hot);
-    bench::shape_check("automatic decap removes >75% of hotspots and lowers drop",
-                       decap_works);
-    return 0;
+    bool ok = bench::shape_check("baseline activity has no hotspots", base_clean);
+    ok &= bench::shape_check("5x activity creates hotspots", net_hot);
+    ok &= bench::shape_check("automatic decap removes >75% of hotspots and lowers drop",
+                             decap_works);
+    return ok ? 0 : 1;
 }

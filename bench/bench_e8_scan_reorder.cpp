@@ -52,9 +52,9 @@ int main() {
     }
     std::printf("\npaper claim: placement-blind (front-end) scan stitching wastes\n"
                 "routing resources; implementation-time reordering recovers it.\n\n");
-    bench::shape_check("reordering always shortens the chains", all_better);
-    bench::shape_check("savings exceed 50% (front-end order is terrible)",
-                       big_savings);
-    bench::shape_check("routing demand falls after reorder", congestion_drops);
-    return 0;
+    bool ok = bench::shape_check("reordering always shortens the chains", all_better);
+    ok &= bench::shape_check("savings exceed 50% (front-end order is terrible)",
+                             big_savings);
+    ok &= bench::shape_check("routing demand falls after reorder", congestion_drops);
+    return ok ? 0 : 1;
 }

@@ -96,10 +96,10 @@ int main() {
     std::printf("\nencoding success vs care density (1 channel, 40 bits):"
                 " 0.5%% -> %.0f%%, 5%% -> %.0f%%\n\n",
                 100 * easy, 100 * hard);
-    bench::shape_check("compression cuts tester pins", pins_fall);
-    bench::shape_check("total test+package cost falls with compression",
-                       costs_fall);
-    bench::shape_check("sparse cubes encode reliably", easy >= 0.9);
-    bench::shape_check("encoding fails past channel capacity", hard <= 0.1);
-    return 0;
+    bool ok = bench::shape_check("compression cuts tester pins", pins_fall);
+    ok &= bench::shape_check("total test+package cost falls with compression",
+                             costs_fall);
+    ok &= bench::shape_check("sparse cubes encode reliably", easy >= 0.9);
+    ok &= bench::shape_check("encoding fails past channel capacity", hard <= 0.1);
+    return ok ? 0 : 1;
 }

@@ -124,8 +124,8 @@ SizingResult full_sta_sizing(Netlist& nl, const SizingOptions& opts) {
     TimingReport tr = run_sta(nl, opts.sta);
     res.delay_before_ps = tr.critical_delay_ps;
     res.area_before_um2 = nl.total_area();
-    for (int pass = 0; pass < opts.max_passes; ++pass) {
-        if (opts.stop_when_met && tr.met()) break;
+    for (int pass = 0; pass < kMaxSizingPasses; ++pass) {
+        if (tr.met()) break;
         ++res.passes;
         std::vector<std::pair<InstId, std::size_t>> undo;
         int resized = 0;

@@ -7,6 +7,12 @@ namespace janus {
 
 TestCostReport evaluate_test_cost(const TestArchitecture& arch,
                                   const TestCostOptions& opts) {
+    constexpr double kTesterUsdPerSecond = 0.05;  // amortized ATE cost
+    // Package cost: base + per-pin increment (wirebond-class model).
+    constexpr double kPackageBaseUsd = 0.05;
+    constexpr double kPackagePerPinUsd = 0.004;
+    constexpr int kFunctionalPins = 24;  // non-test pins the package needs anyway
+
     TestCostReport rep;
     // Shift cycles per pattern: longest chain length; with compression the
     // tester feeds channels instead of chains, shrinking data volume by
@@ -25,11 +31,11 @@ TestCostReport evaluate_test_cost(const TestArchitecture& arch,
         (arch.shift_mhz * 1e6);
     rep.test_time_ms = seconds * 1e3;
     rep.tester_pins = 2 * data_pins + 3;  // in+out per data pin, clk/se/reset
-    rep.tester_cost_per_part_usd = seconds * opts.tester_usd_per_second *
+    rep.tester_cost_per_part_usd = seconds * kTesterUsdPerSecond *
                                    (1.0 + 0.02 * rep.tester_pins);
-    const int package_pins = opts.functional_pins + rep.tester_pins;
+    const int package_pins = kFunctionalPins + rep.tester_pins;
     rep.package_cost_usd =
-        opts.package_base_usd + opts.package_per_pin_usd * package_pins;
+        kPackageBaseUsd + kPackagePerPinUsd * package_pins;
     rep.total_cost_usd = rep.tester_cost_per_part_usd + rep.package_cost_usd;
     return rep;
 }

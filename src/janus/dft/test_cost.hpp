@@ -25,11 +25,6 @@ struct TestCostReport {
 
 struct TestCostOptions {
     int patterns = 1000;
-    double tester_usd_per_second = 0.05;  ///< amortized ATE cost
-    /// Package cost: base + per-pin increment (wirebond-class model).
-    double package_base_usd = 0.05;
-    double package_per_pin_usd = 0.004;
-    int functional_pins = 24;  ///< non-test pins the package needs anyway
 };
 
 /// Evaluates the test cost of an architecture.

@@ -52,6 +52,10 @@ FlowContext::FlowContext(Netlist input, TechnologyNode technology,
     : netlist(std::move(input)), node(technology), params(p) {
     const std::string err = params.check();
     if (!err.empty()) throw std::invalid_argument("FlowParams: " + err);
+    if (const auto problems = netlist.validate(); !problems.empty()) {
+        throw std::invalid_argument("FlowContext: input netlist invalid: " +
+                                    problems.front());
+    }
     result.design = netlist.name();
     trace.design = netlist.name();
 }

@@ -40,8 +40,9 @@ class SopCache;
 /// "consumes the input" ambiguity is gone) and mutated stage by stage;
 /// QoR lands in `result`, per-stage observations in `trace`.
 struct FlowContext {
-    /// Validates `params` (throws std::invalid_argument on check() failure)
-    /// and takes ownership of a working copy of the design.
+    /// Validates `params` and the design (throws std::invalid_argument on a
+    /// check() failure or on the first Netlist::validate() problem) and
+    /// takes ownership of a working copy of the design.
     FlowContext(Netlist input, TechnologyNode technology, FlowParams p);
     ~FlowContext();
     FlowContext(FlowContext&&) noexcept;

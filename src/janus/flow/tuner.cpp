@@ -1,20 +1,24 @@
 #include "janus/flow/tuner.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "janus/util/rng.hpp"
-#include "janus/util/thread_pool.hpp"
 
 namespace janus {
-namespace {
 
-/// Classic strictly-sequential epsilon-greedy over one shared RNG stream.
-/// Kept verbatim so existing seeds reproduce their historical trajectories.
-void tune_serial(const std::vector<TunerArm>& arms,
-                 const std::function<double(const FlowParams&, int)>& evaluate,
-                 const TunerOptions& opts, TunerResult& res) {
-    Rng rng(opts.seed);
+TunerResult tune(const std::vector<TunerArm>& arms,
+                 const std::function<double(const FlowParams&, int run_index)>& evaluate,
+                 const TunerOptions& opts) {
+    constexpr std::uint64_t kSeed = 7;
+    TunerResult res;
+    if (arms.empty()) return res;
+    res.mean_cost.assign(arms.size(), 0.0);
+    res.pulls.assign(arms.size(), 0);
+
+    // Strictly-sequential epsilon-greedy over one RNG stream.
+    Rng rng(kSeed);
     for (int run = 0; run < opts.runs; ++run) {
         std::size_t arm;
         // Every arm gets one warm-up pull; afterwards epsilon-greedy.
@@ -36,84 +40,6 @@ void tune_serial(const std::vector<TunerArm>& arms,
         res.mean_cost[arm] +=
             (cost - res.mean_cost[arm]) / static_cast<double>(res.pulls[arm]);
         res.history.push_back(TunerRun{arm, cost});
-    }
-}
-
-/// Wave-scheduled epsilon-greedy: decisions for a whole wave are made from
-/// the statistics frozen at wave start, each run drawing from its own
-/// Rng(mix_seed(seed, run)). Decisions therefore never depend on how many
-/// workers evaluate the wave — workers=N is bit-identical to workers=1
-/// with the same wave size.
-void tune_waves(const std::vector<TunerArm>& arms,
-                const std::function<double(const FlowParams&, int)>& evaluate,
-                const TunerOptions& opts, TunerResult& res) {
-    const int wave =
-        std::max(1, opts.wave > 0 ? opts.wave : opts.workers);
-    WorkerTeam team(opts.workers);
-    for (int start = 0; start < opts.runs; start += wave) {
-        const int count = std::min(wave, opts.runs - start);
-        // Decide every arm of the wave up front. Warm-up pulls are tracked
-        // in a scheduled-pulls snapshot so each cold arm is claimed once
-        // per wave, exactly as a serial scheduler would hand them out.
-        std::vector<int> scheduled = res.pulls;
-        std::vector<std::size_t> chosen(static_cast<std::size_t>(count));
-        for (int k = 0; k < count; ++k) {
-            std::size_t arm;
-            const auto cold =
-                std::find(scheduled.begin(), scheduled.end(), 0);
-            if (cold != scheduled.end()) {
-                arm = static_cast<std::size_t>(cold - scheduled.begin());
-            } else {
-                Rng rng(mix_seed(opts.seed,
-                                 static_cast<std::uint64_t>(start + k)));
-                if (rng.next_bool(opts.epsilon)) {
-                    arm = rng.pick_index(arms.size());
-                } else {
-                    // Exploit the best mean among arms pulled before this
-                    // wave (means frozen at wave start).
-                    arm = 0;
-                    double best = std::numeric_limits<double>::infinity();
-                    for (std::size_t a = 0; a < arms.size(); ++a) {
-                        if (res.pulls[a] > 0 && res.mean_cost[a] < best) {
-                            best = res.mean_cost[a];
-                            arm = a;
-                        }
-                    }
-                }
-            }
-            ++scheduled[arm];
-            chosen[static_cast<std::size_t>(k)] = arm;
-        }
-        std::vector<double> costs(static_cast<std::size_t>(count));
-        team.for_each(costs.size(), [&](std::size_t k, std::size_t) {
-            costs[k] = evaluate(arms[chosen[k]].params,
-                                start + static_cast<int>(k));
-        });
-        // Merge in run order so statistics are scheduling-independent.
-        for (std::size_t k = 0; k < costs.size(); ++k) {
-            const std::size_t arm = chosen[k];
-            ++res.pulls[arm];
-            res.mean_cost[arm] += (costs[k] - res.mean_cost[arm]) /
-                                  static_cast<double>(res.pulls[arm]);
-            res.history.push_back(TunerRun{arm, costs[k]});
-        }
-    }
-}
-
-}  // namespace
-
-TunerResult tune(const std::vector<TunerArm>& arms,
-                 const std::function<double(const FlowParams&, int run_index)>& evaluate,
-                 const TunerOptions& opts) {
-    TunerResult res;
-    if (arms.empty()) return res;
-    res.mean_cost.assign(arms.size(), 0.0);
-    res.pulls.assign(arms.size(), 0);
-
-    if (opts.workers <= 1 && opts.wave <= 1) {
-        tune_serial(arms, evaluate, opts, res);
-    } else {
-        tune_waves(arms, evaluate, opts, res);
     }
 
     res.best_arm = 0;

@@ -3,11 +3,10 @@
 /// The self-learning engine panelist Rossi asks for: a bandit that learns
 /// across flow runs which parameter configuration gives consistent QoR,
 /// instead of leaving the tuning to "the user figuring up how the
-/// algorithms work" (E6). Arm pulls can be evaluated in parallel on a
-/// WorkerTeam: decisions are made in waves with run-indexed RNG, so a
-/// 4-worker sweep is bit-identical to the same sweep on one worker.
+/// algorithms work" (E6). Pulls run one after another over one seeded
+/// RNG stream, so a given arm set, budget and cost function always give
+/// the same trajectory.
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -25,15 +24,6 @@ struct TunerArm {
 struct TunerOptions {
     double epsilon = 0.2;       ///< exploration probability
     int runs = 40;              ///< total flow runs the tuner may spend
-    std::uint64_t seed = 7;
-    /// Concurrent evaluations. 1 (with wave <= 1) selects the classic
-    /// strictly-sequential epsilon-greedy path.
-    int workers = 1;
-    /// Arm decisions per scheduling wave; 0 derives it from `workers`.
-    /// Within a wave every decision uses the statistics frozen at wave
-    /// start plus an Rng seeded by mix_seed(seed, run_index) — which is
-    /// what makes results independent of evaluation concurrency.
-    int wave = 0;
 };
 
 struct TunerRun {
@@ -52,9 +42,8 @@ struct TunerResult {
 /// Runs epsilon-greedy tuning: each pull runs the provided evaluation
 /// function (normally run_flow on a fresh design instance) and records
 /// its cost. Exposed as a function-of-arm callback so benches can swap
-/// the workload. With workers > 1 the callback must be safe to invoke
-/// concurrently; the cost of a pull must depend only on (params,
-/// run_index), which every deterministic flow evaluation satisfies.
+/// the workload. Pulls run in order on the calling thread; `run_index`
+/// counts them from 0.
 TunerResult tune(const std::vector<TunerArm>& arms,
                  const std::function<double(const FlowParams&, int run_index)>& evaluate,
                  const TunerOptions& opts = {});

@@ -4,14 +4,22 @@
 #include <cmath>
 
 namespace janus {
+namespace {
 
-void rule_based_opc(std::vector<MaskFeature>& features, const OpticalModel& optics,
-                    const RuleOpcOptions& opts) {
+constexpr double kMarginNm = 120.0;  ///< mask raster margin around the features
+
+}  // namespace
+
+void rule_based_opc(std::vector<MaskFeature>& features, const OpticalModel& optics) {
+    // Bias added to every edge of features narrower than 2*sigma (nm), and
+    // to every edge of wide features.
+    constexpr double kNarrowBiasNm = 8.0;
+    constexpr double kWideBiasNm = 2.0;
     const double narrow_limit = 2.0 * optics.sigma_nm();
     for (MaskFeature& f : features) {
         const double w = static_cast<double>(
             std::min(f.target.width(), f.target.height()));
-        const double bias = w < narrow_limit ? opts.narrow_bias_nm : opts.wide_bias_nm;
+        const double bias = w < narrow_limit ? kNarrowBiasNm : kWideBiasNm;
         f.bias_left += bias;
         f.bias_right += bias;
         f.bias_top += bias;
@@ -20,9 +28,8 @@ void rule_based_opc(std::vector<MaskFeature>& features, const OpticalModel& opti
 }
 
 EpeReport check_print(const std::vector<MaskFeature>& features,
-                      const OpticalModel& optics, double nm_per_pixel,
-                      double margin_nm) {
-    const MaskRaster raster(features, nm_per_pixel, margin_nm);
+                      const OpticalModel& optics, double nm_per_pixel) {
+    const MaskRaster raster(features, nm_per_pixel, kMarginNm);
     const PrintResult pr = simulate_print(raster, optics);
     const auto target = raster.rasterize_targets(features);
     return measure_epe(target, pr.printed, raster.width(), raster.height(),
@@ -67,12 +74,13 @@ bool printed_interval(const PrintResult& pr, bool horizontal, int fixed,
 ModelOpcResult model_based_opc(std::vector<MaskFeature>& features,
                                const OpticalModel& optics,
                                const ModelOpcOptions& opts) {
+    constexpr double kGain = 0.6;  // fraction of measured EPE corrected per step
     ModelOpcResult res;
-    res.initial = check_print(features, optics, opts.nm_per_pixel, opts.margin_nm);
+    res.initial = check_print(features, optics, opts.nm_per_pixel);
 
     for (int it = 0; it < opts.iterations; ++it) {
         ++res.iterations_run;
-        const MaskRaster raster(features, opts.nm_per_pixel, opts.margin_nm);
+        const MaskRaster raster(features, opts.nm_per_pixel, kMarginNm);
         const PrintResult pr = simulate_print(raster, optics);
 
         for (MaskFeature& f : features) {
@@ -88,7 +96,7 @@ ModelOpcResult model_based_opc(std::vector<MaskFeature>& features,
             const int cx = std::clamp((tx0 + tx1) / 2, 0, pr.width - 1);
 
             const auto nudge = [&](double& bias, double err_px) {
-                bias += opts.gain * err_px * opts.nm_per_pixel;
+                bias += kGain * err_px * opts.nm_per_pixel;
                 bias = std::clamp(bias, -opts.max_bias_nm, opts.max_bias_nm);
             };
             int lo = 0, hi = 0;
@@ -109,7 +117,7 @@ ModelOpcResult model_based_opc(std::vector<MaskFeature>& features,
             }
         }
     }
-    res.final = check_print(features, optics, opts.nm_per_pixel, opts.margin_nm);
+    res.final = check_print(features, optics, opts.nm_per_pixel);
     return res;
 }
 

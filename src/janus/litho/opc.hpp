@@ -11,23 +11,13 @@
 
 namespace janus {
 
-struct RuleOpcOptions {
-    /// Bias added to every edge of features narrower than 2*sigma (nm).
-    double narrow_bias_nm = 8.0;
-    /// Bias for wide features.
-    double wide_bias_nm = 2.0;
-};
-
 /// Applies rule-based biases in place.
-void rule_based_opc(std::vector<MaskFeature>& features, const OpticalModel& optics,
-                    const RuleOpcOptions& opts = {});
+void rule_based_opc(std::vector<MaskFeature>& features, const OpticalModel& optics);
 
 struct ModelOpcOptions {
     int iterations = 12;
-    double gain = 0.6;          ///< fraction of measured EPE corrected per step
     double max_bias_nm = 40.0;  ///< mask-rule limit on edge movement
     double nm_per_pixel = 2.0;
-    double margin_nm = 120.0;
 };
 
 struct ModelOpcResult {
@@ -45,7 +35,6 @@ ModelOpcResult model_based_opc(std::vector<MaskFeature>& features,
 
 /// Convenience: simulate and measure EPE of the current features.
 EpeReport check_print(const std::vector<MaskFeature>& features,
-                      const OpticalModel& optics, double nm_per_pixel = 2.0,
-                      double margin_nm = 120.0);
+                      const OpticalModel& optics, double nm_per_pixel = 2.0);
 
 }  // namespace janus

@@ -129,10 +129,13 @@ std::vector<int> mffc_sizes(const Aig& aig, MffcStats* stats) {
 
 Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
              SopCache* cache) {
+    constexpr int kCutSize = 5;  // leaves per refactoring cut
+    // Exact per-node cut cap, trivial cut included (cut_enum.hpp).
+    constexpr int kMaxCutsPerNode = 6;
     const int workers = std::max(1, opts.workers);
     CutEnumOptions ce;
-    ce.max_leaves = opts.cut_size;
-    ce.max_cuts_per_node = opts.max_cuts_per_node;
+    ce.max_leaves = kCutSize;
+    ce.max_cuts_per_node = kMaxCutsPerNode;
     ce.workers = workers;
     const CutSet cuts = enumerate_cuts(aig, ce);
     MffcStats mffc_stats;
@@ -197,7 +200,7 @@ Aig refactor(const Aig& aig, const RewriteOptions& opts, RewriteStats* stats,
             AigLit best = direct;
             // Gain of the direct copy is zero by definition; a candidate
             // must add fewer nodes than the MFFC it releases.
-            int best_gain = opts.zero_cost ? -1 : 0;
+            int best_gain = 0;
             const auto& node_cuts = cuts.cuts[n];
             for (std::size_t ci = 0; ci < node_cuts.size(); ++ci) {
                 const Cut& cut = node_cuts[ci];

@@ -25,10 +25,6 @@ namespace janus {
 class SopCache;
 
 struct RewriteOptions {
-    int cut_size = 5;          ///< leaves per refactoring cut
-    /// Exact per-node cut cap, trivial cut included (cut_enum.hpp).
-    int max_cuts_per_node = 6;
-    bool zero_cost = false;    ///< also accept size-neutral replacements
     /// Threads for the eval-parallel phase; byte-identical output for any
     /// value (docs/SYNTH.md). 1 = serial.
     int workers = 1;

@@ -1,7 +1,6 @@
 #include "janus/logic/aiger.hpp"
 
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,14 +58,6 @@ std::uint32_t decode_delta(std::istream& is, std::size_t gate) {
         if (!(c & 0x80)) return x;
         shift += 7;
     }
-}
-
-void encode_delta(std::ostream& os, std::uint32_t x) {
-    while (x & ~0x7fu) {
-        os.put(static_cast<char>(0x80 | (x & 0x7f)));
-        x >>= 7;
-    }
-    os.put(static_cast<char>(x));
 }
 
 struct Header {
@@ -287,131 +278,6 @@ AigerDesign read_aiger_file(const std::string& path) {
     const auto dot = stem.find_last_of('.');
     if (dot != std::string::npos && dot > 0) stem.erase(dot);
     return read_aiger(f, stem);
-}
-
-// ------------------------------------------------------------------ writer
-
-namespace {
-
-/// Canonical file numbering: inputs (real + latch pseudo) keep their Aig
-/// order as variables 1..I+L; AND nodes live in an output or next-state
-/// cone follow in topological (node-index) order.
-struct FileNumbering {
-    std::vector<std::uint32_t> node2var;  ///< Aig node -> aiger variable (0 = dead)
-    std::vector<std::uint32_t> and_nodes; ///< live ands, ascending node index
-    std::uint64_t num_vars = 0;
-
-    explicit FileNumbering(const AigerDesign& d) {
-        const Aig& aig = d.aig;
-        node2var.assign(aig.num_nodes(), 0);
-        std::vector<char> live(aig.num_nodes(), 0);
-        std::vector<std::uint32_t> stack;
-        const auto mark = [&](AigLit lit) {
-            if (!live[aig_node(lit)]) {
-                live[aig_node(lit)] = 1;
-                stack.push_back(aig_node(lit));
-            }
-        };
-        for (const auto& [nm, lit] : aig.outputs()) {
-            (void)nm;
-            mark(lit);
-        }
-        for (const AigerLatch& l : d.latches) mark(l.next);
-        while (!stack.empty()) {
-            const std::uint32_t n = stack.back();
-            stack.pop_back();
-            if (!aig.is_and(n)) continue;
-            mark(aig.fanin0(n));
-            mark(aig.fanin1(n));
-        }
-        const std::size_t num_in = aig.num_inputs();
-        for (std::size_t k = 0; k < num_in; ++k) {
-            node2var[aig_node(aig.input(k))] = static_cast<std::uint32_t>(k + 1);
-        }
-        std::uint32_t next = static_cast<std::uint32_t>(num_in + 1);
-        for (std::uint32_t n = 1; n < aig.num_nodes(); ++n) {
-            if (aig.is_and(n) && live[n]) {
-                and_nodes.push_back(n);
-                node2var[n] = next++;
-            }
-        }
-        num_vars = next - 1;
-    }
-
-    std::uint64_t lit(AigLit l) const {
-        const std::uint64_t v = node2var[aig_node(l)];
-        return 2 * v + (aig_is_complement(l) ? 1 : 0);
-    }
-};
-
-void write_symbols(std::ostream& os, const AigerDesign& d) {
-    const Aig& aig = d.aig;
-    for (std::size_t k = 0; k < d.num_inputs; ++k) {
-        os << "i" << k << " " << aig.input_name(k) << "\n";
-    }
-    for (std::size_t k = 0; k < d.latches.size(); ++k) {
-        os << "l" << k << " " << d.latches[k].name << "\n";
-    }
-    for (std::size_t k = 0; k < aig.outputs().size(); ++k) {
-        os << "o" << k << " " << aig.outputs()[k].first << "\n";
-    }
-    os << "c\n" << d.name << "\n";
-}
-
-}  // namespace
-
-void write_aiger_ascii(std::ostream& os, const AigerDesign& d) {
-    const FileNumbering num(d);
-    const Aig& aig = d.aig;
-    const std::size_t I = d.num_inputs;
-    const std::size_t L = d.latches.size();
-    os << "aag " << num.num_vars << " " << I << " " << L << " "
-       << aig.outputs().size() << " " << num.and_nodes.size() << "\n";
-    for (std::size_t k = 0; k < I; ++k) os << 2 * (k + 1) << "\n";
-    for (std::size_t k = 0; k < L; ++k) {
-        os << 2 * (I + k + 1) << " " << num.lit(d.latches[k].next);
-        if (d.latches[k].reset != 0) os << " " << d.latches[k].reset;
-        os << "\n";
-    }
-    for (const auto& [nm, lit] : aig.outputs()) {
-        (void)nm;
-        os << num.lit(lit) << "\n";
-    }
-    for (const std::uint32_t n : num.and_nodes) {
-        const std::uint64_t lhs = 2 * num.node2var[n];
-        std::uint64_t r0 = num.lit(aig.fanin0(n));
-        std::uint64_t r1 = num.lit(aig.fanin1(n));
-        if (r0 < r1) std::swap(r0, r1);
-        os << lhs << " " << r0 << " " << r1 << "\n";
-    }
-    write_symbols(os, d);
-}
-
-void write_aiger_binary(std::ostream& os, const AigerDesign& d) {
-    const FileNumbering num(d);
-    const Aig& aig = d.aig;
-    const std::size_t I = d.num_inputs;
-    const std::size_t L = d.latches.size();
-    os << "aig " << num.num_vars << " " << I << " " << L << " "
-       << aig.outputs().size() << " " << num.and_nodes.size() << "\n";
-    for (std::size_t k = 0; k < L; ++k) {
-        os << num.lit(d.latches[k].next);
-        if (d.latches[k].reset != 0) os << " " << d.latches[k].reset;
-        os << "\n";
-    }
-    for (const auto& [nm, lit] : aig.outputs()) {
-        (void)nm;
-        os << num.lit(lit) << "\n";
-    }
-    for (const std::uint32_t n : num.and_nodes) {
-        const std::uint64_t lhs = 2 * num.node2var[n];
-        std::uint64_t r0 = num.lit(aig.fanin0(n));
-        std::uint64_t r1 = num.lit(aig.fanin1(n));
-        if (r0 < r1) std::swap(r0, r1);
-        encode_delta(os, static_cast<std::uint32_t>(lhs - r0));
-        encode_delta(os, static_cast<std::uint32_t>(r0 - r1));
-    }
-    write_symbols(os, d);
 }
 
 }  // namespace janus

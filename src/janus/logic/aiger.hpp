@@ -1,8 +1,8 @@
 #pragma once
 /// \file aiger.hpp
-/// AIGER circuit reader/writer: the interchange format of the hardware
+/// AIGER circuit reader: the interchange format of the hardware
 /// model-checking and logic-synthesis communities (Biere's aiger toolkit,
-/// ABC, the HWMCC benchmark sets). Both variants are supported:
+/// ABC, the HWMCC benchmark sets). Both variants are read:
 ///
 ///   aag M I L O A   — ASCII: one decimal literal set per line
 ///   aig M I L O A   — binary: inputs/ands implicit, and-gate fanins
@@ -59,14 +59,5 @@ AigerDesign read_aiger(std::istream& is, const std::string& name = "aiger");
 /// Opens `path` (binary mode) and parses it; the design name is the file
 /// stem unless the comment section names it.
 AigerDesign read_aiger_file(const std::string& path);
-
-/// Writes the ASCII (`aag`) form. Literals are renumbered canonically
-/// (inputs, then latches, then live AND nodes in topological order), so
-/// write(read(f)) is a fixpoint: parsing the output again yields a
-/// structurally identical design.
-void write_aiger_ascii(std::ostream& os, const AigerDesign& design);
-
-/// Writes the binary (`aig`) form with delta-encoded AND fanins.
-void write_aiger_binary(std::ostream& os, const AigerDesign& design);
 
 }  // namespace janus

@@ -1,8 +1,9 @@
 #pragma once
 /// \file bdd.hpp
-/// Reduced ordered binary decision diagrams (Shannon expansion). Used for
-/// formal equivalence checking between optimization stages and as the
-/// AND/INV-era baseline representation in experiment E12.
+/// Reduced ordered binary decision diagrams (Shannon expansion): the
+/// AND/INV-era baseline representation in experiment E12. Equivalence
+/// checking does not use them (equivalence.hpp compares truth tables and
+/// runs a SAT miter).
 
 #include <cstdint>
 #include <unordered_map>

@@ -10,6 +10,10 @@ namespace janus {
 
 EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
                                     const EquivalenceOptions& opts) {
+    // Designs with at most this many primary inputs are proved exactly via
+    // truth tables; wider ones go to the SAT miter.
+    constexpr std::size_t kExactInputLimit = 16;
+
     if (a.primary_inputs().size() != b.primary_inputs().size() ||
         a.primary_outputs().size() != b.primary_outputs().size()) {
         throw std::invalid_argument("check_equivalence: interface mismatch");
@@ -20,7 +24,7 @@ EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
     EquivalenceResult res;
     const std::size_t n = a.primary_inputs().size();
 
-    if (static_cast<int>(n) <= opts.exact_input_limit) {
+    if (n <= kExactInputLimit) {
         // Exact: compare output truth tables via the AIG (shared strashing
         // makes identical cones literally the same node).
         const Aig aa = Aig::from_netlist(a);

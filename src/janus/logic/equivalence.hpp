@@ -1,9 +1,9 @@
 #pragma once
 /// \file equivalence.hpp
-/// Combinational equivalence checking. Exhaustive/BDD-based for designs
-/// with few inputs, random simulation as a falsifier for larger ones —
-/// the verification step every synthesis transform in JanusEDA is held
-/// to in tests.
+/// Combinational equivalence checking. Exhaustive truth tables for designs
+/// with few inputs, a SAT miter for wider ones and random simulation as a
+/// falsifier when the SAT budget runs out — the verification step every
+/// synthesis transform in JanusEDA is held to in tests.
 
 #include <cstdint>
 #include <optional>
@@ -25,9 +25,6 @@ struct EquivalenceResult {
 };
 
 struct EquivalenceOptions {
-    /// Designs with at most this many primary inputs are proved exactly
-    /// via truth tables; wider ones go to the SAT miter.
-    int exact_input_limit = 16;
     /// SAT decision budget before falling back to random sampling.
     std::uint64_t sat_decisions = 200000;
     std::size_t random_vectors = 2048;

@@ -113,8 +113,8 @@ Cover reduce(const Cover& cover, const Cover& dcset) {
     return Cover(cover.num_vars(), cubes);
 }
 
-EspressoResult espresso(const Cover& onset, const Cover& dcset,
-                        const EspressoOptions& opts) {
+EspressoResult espresso(const Cover& onset, const Cover& dcset) {
+    constexpr int kMaxIterations = 8;  // REDUCE/EXPAND loop cap
     EspressoResult res;
     res.initial_cubes = static_cast<int>(onset.size());
     res.initial_literals = onset.num_literals();
@@ -129,7 +129,7 @@ EspressoResult espresso(const Cover& onset, const Cover& dcset,
     int best = cost(f);
     Cover best_cover = f;
 
-    for (int it = 0; it < opts.max_iterations; ++it) {
+    for (int it = 0; it < kMaxIterations; ++it) {
         ++res.iterations;
         f = reduce(f, dcset);
         f = expand(f, offset);

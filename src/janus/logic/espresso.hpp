@@ -17,17 +17,11 @@ struct EspressoResult {
     int initial_literals = 0;
 };
 
-/// Options controlling the loop.
-struct EspressoOptions {
-    int max_iterations = 8;
-};
-
 /// Minimizes `onset` given `dcset` (both over the same variables). The
 /// returned cover is logically equivalent to the ON-set on all minterms
 /// outside the DC-set, irredundant, and prime with respect to the
 /// computed OFF-set.
-EspressoResult espresso(const Cover& onset, const Cover& dcset,
-                        const EspressoOptions& opts = {});
+EspressoResult espresso(const Cover& onset, const Cover& dcset);
 
 /// Convenience overload with an empty DC-set.
 EspressoResult espresso(const Cover& onset);

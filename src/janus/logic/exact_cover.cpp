@@ -79,8 +79,8 @@ std::vector<Cube> prime_implicants(const TruthTable& tt, const TruthTable& dc) {
     return out;
 }
 
-ExactMinimizeResult exact_minimize(const TruthTable& tt, const TruthTable& dc,
-                                   const ExactMinimizeOptions& opts) {
+ExactMinimizeResult exact_minimize(const TruthTable& tt, const TruthTable& dc) {
+    constexpr std::uint64_t kMaxBranchNodes = 1'000'000;  // B&B node budget
     const int n = tt.num_vars();
     ExactMinimizeResult res;
     res.cover = Cover(n);
@@ -116,7 +116,7 @@ ExactMinimizeResult exact_minimize(const TruthTable& tt, const TruthTable& dc,
     bool budget_hit = false;
 
     std::function<void()> branch = [&]() {
-        if (++nodes > opts.max_branch_nodes) {
+        if (++nodes > kMaxBranchNodes) {
             budget_hit = true;
             return;
         }

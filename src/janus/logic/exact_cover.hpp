@@ -16,14 +16,9 @@ struct ExactMinimizeResult {
     bool optimal = true;         ///< false when the node budget stopped B&B
 };
 
-struct ExactMinimizeOptions {
-    std::uint64_t max_branch_nodes = 1'000'000;
-};
-
 /// Minimum-cube SOP of `tt` (don't-cares via `dc`: minterms that may be
 /// covered freely). Requires tt.num_vars() <= 12.
-ExactMinimizeResult exact_minimize(const TruthTable& tt, const TruthTable& dc,
-                                   const ExactMinimizeOptions& opts = {});
+ExactMinimizeResult exact_minimize(const TruthTable& tt, const TruthTable& dc);
 ExactMinimizeResult exact_minimize(const TruthTable& tt);
 
 /// All prime implicants of (tt | dc) that cover at least one ON minterm.

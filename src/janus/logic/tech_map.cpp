@@ -108,11 +108,13 @@ struct Choice {
 
 Netlist tech_map(const Aig& aig, std::shared_ptr<const CellLibrary> lib,
                  const TechMapOptions& opts, TechMapStats* stats) {
+    // Exact per-node cut cap, trivial cut included (cut_enum.hpp).
+    constexpr int kMaxCutsPerNode = 8;
     const MatchTables mt = build_match_tables(*lib);
     const int workers = std::max(1, opts.workers);
     CutEnumOptions ce;
-    ce.max_leaves = std::min(opts.cut_size, kMaxFanin);
-    ce.max_cuts_per_node = opts.max_cuts_per_node;
+    ce.max_leaves = kMaxFanin;  // a wider cut matches no cell
+    ce.max_cuts_per_node = kMaxCutsPerNode;
     ce.workers = workers;
     const CutSet cuts = enumerate_cuts(aig, ce);
     const auto fanout = aig.fanout_counts();

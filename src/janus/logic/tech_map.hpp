@@ -20,9 +20,6 @@
 namespace janus {
 
 struct TechMapOptions {
-    int cut_size = 4;
-    /// Exact per-node cut cap, trivial cut included (cut_enum.hpp).
-    int max_cuts_per_node = 8;
     /// Threads for cut enumeration and the level-parallel matching sweep;
     /// byte-identical output for any value. 1 = serial.
     int workers = 1;

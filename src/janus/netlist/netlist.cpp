@@ -312,24 +312,25 @@ std::vector<std::string> Netlist::validate() const {
     }
     for (InstId i = 0; i < instances_.size(); ++i) {
         const Instance& inst = instances_[i];
-        const std::string iname(instance_name(i));
+        // The name is materialized only for a problem report.
+        const auto iname = [&] { return std::string(instance_name(i)); };
         const int arity = function_arity(type_of(i).function);
         for (int p = 0; p < arity; ++p) {
             if (inst.fanin[static_cast<std::size_t>(p)] == kNoNet) {
-                problems.push_back("instance " + iname + " pin " +
+                problems.push_back("instance " + iname() + " pin " +
                                    std::to_string(p) + " unconnected");
             }
         }
         for (int p = arity; p < kMaxFanin; ++p) {
             if (inst.fanin[static_cast<std::size_t>(p)] != kNoNet) {
-                problems.push_back("instance " + iname +
+                problems.push_back("instance " + iname() +
                                    " has extra fanin at pin " + std::to_string(p));
             }
         }
         if (inst.output == kNoNet) {
-            problems.push_back("instance " + iname + " has no output net");
+            problems.push_back("instance " + iname() + " has no output net");
         } else if (nets_[inst.output].driver_inst != i) {
-            problems.push_back("instance " + iname + " output driver mismatch");
+            problems.push_back("instance " + iname() + " output driver mismatch");
         }
     }
     for (NetId n = 0; n < nets_.size(); ++n) {

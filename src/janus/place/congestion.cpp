@@ -10,17 +10,22 @@ namespace janus {
 CongestionMap estimate_congestion(const Netlist& nl, const PlacementArea& area,
                                   const TechnologyNode& node,
                                   const CongestionOptions& opts) {
-    CongestionMap m;
-    m.bins = opts.bins;
-    m.demand.assign(opts.bins * opts.bins, 0.0);
-    m.capacity.assign(opts.bins * opts.bins, 0.0);
+    constexpr std::size_t kBins = 24;  // bins per axis
+    // Tracks per bin per layer derive from bin size / pitch; this factor
+    // derates for blockages and power routing.
+    constexpr double kCapacityDerate = 0.5;
 
-    const double bin_w = static_cast<double>(area.die.width()) / opts.bins;
-    const double bin_h = static_cast<double>(area.die.height()) / opts.bins;
+    CongestionMap m;
+    m.bins = kBins;
+    m.demand.assign(kBins * kBins, 0.0);
+    m.capacity.assign(kBins * kBins, 0.0);
+
+    const double bin_w = static_cast<double>(area.die.width()) / kBins;
+    const double bin_h = static_cast<double>(area.die.height()) / kBins;
     // Tracks crossing a bin: bin dimension / pitch, summed over layers
     // (half horizontal, half vertical), derated.
     const double pitch_nm = node.metal_pitch_nm;
-    const double cap_per_bin = opts.capacity_derate * opts.routing_layers * 0.5 *
+    const double cap_per_bin = kCapacityDerate * opts.routing_layers * 0.5 *
                                (bin_w / pitch_nm + bin_h / pitch_nm);
     std::fill(m.capacity.begin(), m.capacity.end(), cap_per_bin);
 
@@ -41,13 +46,13 @@ CongestionMap estimate_congestion(const Netlist& nl, const PlacementArea& area,
         if (cache.degree(n) < 2) continue;
         const Rect bb = cache.bbox(n);
         const std::size_t x0 =
-            bin_index(static_cast<double>(bb.lo.x), static_cast<double>(area.die.lo.x), bin_w, opts.bins);
+            bin_index(static_cast<double>(bb.lo.x), static_cast<double>(area.die.lo.x), bin_w, kBins);
         const std::size_t x1 =
-            bin_index(static_cast<double>(bb.hi.x), static_cast<double>(area.die.lo.x), bin_w, opts.bins);
+            bin_index(static_cast<double>(bb.hi.x), static_cast<double>(area.die.lo.x), bin_w, kBins);
         const std::size_t y0 =
-            bin_index(static_cast<double>(bb.lo.y), static_cast<double>(area.die.lo.y), bin_h, opts.bins);
+            bin_index(static_cast<double>(bb.lo.y), static_cast<double>(area.die.lo.y), bin_h, kBins);
         const std::size_t y1 =
-            bin_index(static_cast<double>(bb.hi.y), static_cast<double>(area.die.lo.y), bin_h, opts.bins);
+            bin_index(static_cast<double>(bb.hi.y), static_cast<double>(area.die.lo.y), bin_h, kBins);
         // FLUTE-less estimate: wirelength = HPWL, spread uniformly over the
         // covered bins in units of "track-lengths per bin".
         const double wl_tracks =
@@ -57,7 +62,7 @@ CongestionMap estimate_congestion(const Netlist& nl, const PlacementArea& area,
         const double per_bin = wl_tracks / nbins;
         for (std::size_t by = y0; by <= y1; ++by) {
             for (std::size_t bx = x0; bx <= x1; ++bx) {
-                m.demand[by * opts.bins + bx] += per_bin;
+                m.demand[by * kBins + bx] += per_bin;
             }
         }
         m.total_demand += wl_tracks;

@@ -13,11 +13,7 @@
 namespace janus {
 
 struct CongestionOptions {
-    std::size_t bins = 24;       ///< bins per axis
     int routing_layers = 6;      ///< layers available for signal routing
-    /// Tracks per bin per layer derive from bin size / pitch; this factor
-    /// derates for blockages and power routing.
-    double capacity_derate = 0.5;
 };
 
 struct CongestionMap {

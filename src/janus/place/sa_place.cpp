@@ -21,6 +21,8 @@ constexpr int kMaxRequeues = 8;      ///< defer/abort budget before abandoning
 constexpr std::size_t kRegionQuota = 64;
 constexpr std::size_t kCellsPerRegion = 256;  ///< auto grid sizing target
 constexpr int kMaxTilesPerAxis = 64;
+constexpr double kInitialTempFrac = 0.05;  ///< T0 as a fraction of initial HPWL/net
+constexpr double kCooling = 0.95;
 
 /// A candidate re-queued across rounds (local defer or commit abort). Only
 /// the endpoints survive: positions and the delta are re-read against the
@@ -105,7 +107,7 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
     const std::size_t total_slots =
         static_cast<std::size_t>(opts.moves_per_cell) * nl.num_instances();
     const std::size_t chunk = std::max<std::size_t>(1, total_slots / 60);
-    double temp = opts.initial_temp_frac *
+    double temp = kInitialTempFrac *
                   (res.initial_hpwl_um /
                    static_cast<double>(std::max<std::size_t>(1, nl.num_nets())));
     double accumulated = res.initial_hpwl_um;
@@ -145,7 +147,7 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
         // the round then runs at a frozen temperature (worker-invariant by
         // construction — `consumed` is schedule-independent).
         while (cooled < consumed) {
-            if (cooled % chunk == chunk - 1) temp *= opts.cooling;
+            if (cooled % chunk == chunk - 1) temp *= kCooling;
             ++cooled;
         }
         const double round_temp = std::max(1e-12, temp);

@@ -22,8 +22,6 @@ namespace janus {
 
 struct SaPlaceOptions {
     int moves_per_cell = 50;     ///< total move slots = this * num cells
-    double initial_temp_frac = 0.05;  ///< T0 as a fraction of initial HPWL/net
-    double cooling = 0.95;
     std::uint64_t seed = 1;
     /// Worker slots speculatively evaluating regions (flow knob:
     /// FlowParams::workers). A pure performance knob: results are

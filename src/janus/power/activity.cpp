@@ -6,18 +6,21 @@
 namespace janus {
 
 ActivityReport estimate_activity(const Netlist& nl, const ActivityOptions& opts) {
+    constexpr double kPiProbability = 0.5;   // P(1) at primary inputs
+    constexpr double kFlopToggleRate = 0.2;  // toggles/cycle at flop outputs
+
     ActivityReport r;
     r.probability.assign(nl.num_nets(), 0.0);
     r.toggle_rate.assign(nl.num_nets(), 0.0);
 
     for (const NetId pi : nl.primary_inputs()) {
-        r.probability[pi] = opts.pi_probability;
+        r.probability[pi] = kPiProbability;
         r.toggle_rate[pi] = opts.pi_toggle_rate;
     }
     for (const InstId f : nl.sequential_instances()) {
         const NetId q = nl.instance(f).output;
         r.probability[q] = 0.5;
-        r.toggle_rate[q] = opts.flop_toggle_rate;
+        r.toggle_rate[q] = kFlopToggleRate;
     }
 
     // Epoch-cached order: free after any prior STA/sim on this netlist.

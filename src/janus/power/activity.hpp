@@ -17,9 +17,7 @@ struct ActivityReport {
 };
 
 struct ActivityOptions {
-    double pi_probability = 0.5;
     double pi_toggle_rate = 0.2;   ///< toggles/cycle at primary inputs
-    double flop_toggle_rate = 0.2; ///< toggles/cycle at flop outputs
 };
 
 /// Propagates probabilities exactly per gate (exhaustive over <=4 inputs,

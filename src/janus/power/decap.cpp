@@ -19,16 +19,21 @@ std::vector<Hotspot> find_hotspots(const IrDropReport& rep, double drop_fraction
 }
 
 DecapResult insert_decaps(PowerGrid& grid, const DecapOptions& opts) {
+    // A node is a hotspot when its IR drop exceeds this fraction of VDD.
+    constexpr double kHotspotDropFraction = 0.05;
+    // Decap pF that halves the effective transient demand of one node.
+    constexpr double kHalvingPf = 10.0;
+
     DecapResult res;
     res.before = grid.solve();
-    res.initial_hotspots = find_hotspots(res.before, opts.hotspot_drop_fraction);
+    res.initial_hotspots = find_hotspots(res.before, kHotspotDropFraction);
 
     // Accumulated decap per node (pF).
     std::vector<double> decap_pf(grid.cols() * grid.rows(), 0.0);
     IrDropReport current = res.before;
 
     while (res.decap_steps_used < opts.max_steps) {
-        const auto hs = find_hotspots(current, opts.hotspot_drop_fraction);
+        const auto hs = find_hotspots(current, kHotspotDropFraction);
         if (hs.empty()) break;
         const Hotspot& worst = hs.front();
         const std::size_t k = worst.row * grid.cols() + worst.col;
@@ -38,8 +43,8 @@ DecapResult insert_decaps(PowerGrid& grid, const DecapOptions& opts) {
         // node keeps helping but with diminishing returns.
         const double c_old = decap_pf[k];
         const double c_new = c_old + opts.decap_pf_per_step;
-        const double relief_old = c_old / (c_old + opts.halving_pf);
-        const double relief_new = c_new / (c_new + opts.halving_pf);
+        const double relief_old = c_old / (c_old + kHalvingPf);
+        const double relief_new = c_new / (c_new + kHalvingPf);
         const double remaining_old = 1.0 - relief_old;
         const double remaining_new = 1.0 - relief_new;
         const double demand = grid.current_at(worst.col, worst.row);
@@ -53,7 +58,7 @@ DecapResult insert_decaps(PowerGrid& grid, const DecapOptions& opts) {
         current = grid.solve();
     }
     res.after = current;
-    res.remaining_hotspots = find_hotspots(current, opts.hotspot_drop_fraction);
+    res.remaining_hotspots = find_hotspots(current, kHotspotDropFraction);
     return res;
 }
 

@@ -17,12 +17,8 @@
 namespace janus {
 
 struct DecapOptions {
-    /// A node is a hotspot when its IR drop exceeds this fraction of VDD.
-    double hotspot_drop_fraction = 0.05;
     /// Decap capacitance installed per insertion step (pF).
     double decap_pf_per_step = 10.0;
-    /// Decap pF that halves the effective transient demand of one node.
-    double halving_pf = 10.0;
     /// Insertion budget: maximum decap steps overall.
     int max_steps = 256;
 };

@@ -74,6 +74,8 @@ double PowerGrid::current_at(std::size_t col, std::size_t row) const {
 }
 
 IrDropReport PowerGrid::solve() const {
+    constexpr double kSorOmega = 1.8;  // over-relaxation factor
+
     IrDropReport rep;
     rep.cols = opts_.cols;
     rep.rows = opts_.rows;
@@ -101,7 +103,7 @@ IrDropReport PowerGrid::solve() const {
                 if (r > 0) neighbor(index(c, r - 1));
                 if (r + 1 < opts_.rows) neighbor(index(c, r + 1));
                 const double v_new = isum / gsum;
-                const double relaxed = v[k] + opts_.sor_omega * (v_new - v[k]);
+                const double relaxed = v[k] + kSorOmega * (v_new - v[k]);
                 max_delta = std::max(max_delta, std::fabs(relaxed - v[k]));
                 v[k] = relaxed;
             }

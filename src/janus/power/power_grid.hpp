@@ -22,7 +22,6 @@ struct PowerGridOptions {
     /// Pads (ideal VDD sources) are placed every `pad_stride` nodes along
     /// the chip boundary.
     std::size_t pad_stride = 8;
-    double sor_omega = 1.8;
     int max_iterations = 5000;
     double tolerance_v = 1e-6;
 };

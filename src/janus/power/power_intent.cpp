@@ -69,7 +69,7 @@ std::size_t PowerIntent::level_shifters_needed(const Netlist& nl) const {
 PowerReport PowerIntent::estimate(const Netlist& nl, const TechnologyNode& node,
                                   const PowerOptions& opts) const {
     // Flat estimate at nominal voltage, then per-instance rescale.
-    const ActivityReport activity = estimate_activity(nl, opts.activity);
+    const ActivityReport activity = estimate_activity(nl);
     const PowerReport flat = estimate_power(nl, node, opts, &activity);
 
     PowerReport r;

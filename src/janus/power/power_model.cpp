@@ -7,7 +7,7 @@ PowerReport estimate_power(const Netlist& nl, const TechnologyNode& node,
                            const ActivityReport* activity) {
     ActivityReport local;
     if (!activity) {
-        local = estimate_activity(nl, opts.activity);
+        local = estimate_activity(nl);
         activity = &local;
     }
     const double vdd = opts.vdd_override > 0 ? opts.vdd_override : node.vdd;

@@ -12,7 +12,6 @@ namespace janus {
 struct PowerOptions {
     double frequency_mhz = 500.0;
     double vdd_override = 0.0;  ///< 0 = use the node's nominal Vdd
-    ActivityOptions activity;
     WireModel wire;
 };
 

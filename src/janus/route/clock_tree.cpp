@@ -7,6 +7,13 @@
 namespace janus {
 namespace {
 
+/// Leaves per cluster: flops within one cluster share a final buffer.
+constexpr std::size_t kMaxLeafCluster = 8;
+/// Buffer insertion delay (ps) charged per tree level.
+constexpr double kBufferDelayPs = 12.0;
+/// Wire delay per um of clock route (ps), lumped.
+constexpr double kWireDelayPsPerUm = 0.05;
+
 Point centroid(const Netlist& nl, const std::vector<InstId>& flops) {
     std::int64_t sx = 0, sy = 0;
     for (const InstId f : flops) {
@@ -19,7 +26,7 @@ Point centroid(const Netlist& nl, const std::vector<InstId>& flops) {
 
 }  // namespace
 
-ClockTree build_clock_tree(const Netlist& nl, const ClockTreeOptions& opts) {
+ClockTree build_clock_tree(const Netlist& nl) {
     ClockTree tree;
     std::vector<InstId> flops = nl.sequential_instances();
     if (flops.empty()) return tree;
@@ -34,7 +41,7 @@ ClockTree build_clock_tree(const Netlist& nl, const ClockTreeOptions& opts) {
         tree.nodes[static_cast<std::size_t>(id)].level = level;
         tree.levels = std::max(tree.levels, level + 1);
 
-        if (group.size() <= opts.max_leaf_cluster) {
+        if (group.size() <= kMaxLeafCluster) {
             tree.nodes[static_cast<std::size_t>(id)].leaves = std::move(group);
             return id;
         }
@@ -66,19 +73,19 @@ ClockTree build_clock_tree(const Netlist& nl, const ClockTreeOptions& opts) {
     tree.min_insertion_delay_ps = std::numeric_limits<double>::infinity();
     std::function<void(int, double)> walk = [&](int id, double delay) {
         const ClockNode& n = tree.nodes[static_cast<std::size_t>(id)];
-        const double node_delay = delay + opts.buffer_delay_ps;
+        const double node_delay = delay + kBufferDelayPs;
         ++tree.buffers;
         for (const int c : n.children) {
             const double wl_um =
                 static_cast<double>(manhattan(n.tap, tree.nodes[static_cast<std::size_t>(c)].tap)) * 1e-3;
             tree.total_wirelength_um += wl_um;
-            walk(c, node_delay + wl_um * opts.wire_delay_ps_per_um);
+            walk(c, node_delay + wl_um * kWireDelayPsPerUm);
         }
         for (const InstId f : n.leaves) {
             const double wl_um =
                 static_cast<double>(manhattan(n.tap, nl.instance(f).position)) * 1e-3;
             tree.total_wirelength_um += wl_um;
-            const double d = node_delay + wl_um * opts.wire_delay_ps_per_um;
+            const double d = node_delay + wl_um * kWireDelayPsPerUm;
             tree.max_insertion_delay_ps = std::max(tree.max_insertion_delay_ps, d);
             tree.min_insertion_delay_ps = std::min(tree.min_insertion_delay_ps, d);
         }

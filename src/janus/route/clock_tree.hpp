@@ -13,15 +13,6 @@
 
 namespace janus {
 
-struct ClockTreeOptions {
-    /// Leaves per cluster: flops within one cluster share a final buffer.
-    std::size_t max_leaf_cluster = 8;
-    /// Buffer insertion delay (ps) charged per tree level.
-    double buffer_delay_ps = 12.0;
-    /// Wire delay per um of clock route (ps), lumped.
-    double wire_delay_ps_per_um = 0.05;
-};
-
 /// One node of the synthesized tree.
 struct ClockNode {
     Point tap;                 ///< physical location of this tree node
@@ -44,7 +35,7 @@ struct ClockTree {
 
 /// Builds the clock tree for all sequential instances of a placed design.
 /// Returns an empty tree (no nodes) when the design has no flops.
-ClockTree build_clock_tree(const Netlist& nl, const ClockTreeOptions& opts = {});
+ClockTree build_clock_tree(const Netlist& nl);
 
 /// Clock-network power (mW): wire + buffer switching at full clock rate.
 double clock_tree_power_mw(const ClockTree& tree, const TechnologyNode& node,

@@ -172,7 +172,7 @@ RoutedNet route_net_tree(const GridGraph& grid, NetId net,
             path = l_route(grid, *nearest, pins[p]);
             if (stats) stats->pattern_cells += path->cells.size();
         } else if (engine == RouteEngine::LineSearch) {
-            path = line_search_route(grid, *nearest, pins[p], {}, stats);
+            path = line_search_route(grid, *nearest, pins[p], stats);
         }
         if (!path) {
             MazeOptions mo;

@@ -30,6 +30,7 @@ std::vector<Run> split_runs(const GridRoute& r) {
 
 LayerAssignResult assign_layers(const GlobalRouteResult& routes, int grid_w,
                                 int grid_h, const LayerAssignOptions& opts) {
+    constexpr double kCapacityPerLayer = 4.0;  // edge units per (edge, layer)
     LayerAssignResult res;
     res.layers_used = opts.routing_layers;
     res.layer_usage.assign(static_cast<std::size_t>(opts.routing_layers), 0.0);
@@ -103,7 +104,7 @@ LayerAssignResult assign_layers(const GlobalRouteResult& routes, int grid_w,
 
     for (const auto& layer : usage) {
         for (const double u : layer) {
-            res.layer_overflow += std::max(0.0, u - opts.capacity_per_layer);
+            res.layer_overflow += std::max(0.0, u - kCapacityPerLayer);
         }
     }
     return res;

@@ -13,7 +13,6 @@ namespace janus {
 
 struct LayerAssignOptions {
     int routing_layers = 6;  ///< metal layers available to signals
-    double capacity_per_layer = 4.0;
 };
 
 struct LayerAssignResult {

@@ -7,6 +7,7 @@ namespace janus {
 namespace {
 
 constexpr int kUnreached = -1;
+constexpr int kMaxLevels = 64;  ///< line-extension levels before giving up
 
 struct Side {
     std::vector<int> pivot;  ///< per cell: pivot cell index, or kUnreached
@@ -30,7 +31,6 @@ void append_segment(std::vector<GCell>& out, GCell from, GCell to) {
 
 std::optional<GridRoute> line_search_route(const GridGraph& grid, GCell src,
                                            GCell dst,
-                                           const LineSearchOptions& opts,
                                            SearchStats* stats) {
     if (!grid.contains(src) || !grid.contains(dst)) return std::nullopt;
     const int w = grid.width();
@@ -50,10 +50,6 @@ std::optional<GridRoute> line_search_route(const GridGraph& grid, GCell src,
 
     int meet = kUnreached;
 
-    const auto passable = [&](const GCell& a, const GCell& b) {
-        return !opts.respect_capacity || grid.edge_free(a, b);
-    };
-
     // Draws the four maximal lines from `pivot`, marking new cells on
     // `side`; returns true if a marked cell is already reached by `other`.
     const auto draw_lines = [&](Side& side, const Side& other, int pivot_idx,
@@ -65,7 +61,7 @@ std::optional<GridRoute> line_search_route(const GridGraph& grid, GCell src,
             GCell cur = pivot;
             for (;;) {
                 const GCell nxt{cur.x + dx[d], cur.y + dy[d]};
-                if (!grid.contains(nxt) || !passable(cur, nxt)) break;
+                if (!grid.contains(nxt) || !grid.edge_free(cur, nxt)) break;
                 const std::size_t ni = idx(nxt);
                 cur = nxt;
                 if (side.pivot[ni] != kUnreached) continue;
@@ -89,7 +85,7 @@ std::optional<GridRoute> line_search_route(const GridGraph& grid, GCell src,
     }
 
     bool found = false;
-    for (int level = 0; level < opts.max_levels && !found; ++level) {
+    for (int level = 0; level < kMaxLevels && !found; ++level) {
         // Alternate sides each level; expand every frontier pivot.
         Side& active = (level % 2 == 0) ? from_src : from_dst;
         Side& passive = (level % 2 == 0) ? from_dst : from_src;

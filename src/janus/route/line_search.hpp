@@ -14,17 +14,10 @@
 
 namespace janus {
 
-struct LineSearchOptions {
-    /// Edges at or beyond capacity block line extension.
-    bool respect_capacity = true;
-    int max_levels = 64;
-};
-
 /// Routes src -> dst with line probes; nullopt when no path exists within
-/// the level budget.
+/// the level budget. Edges at or beyond capacity block line extension.
 std::optional<GridRoute> line_search_route(const GridGraph& grid, GCell src,
                                            GCell dst,
-                                           const LineSearchOptions& opts = {},
                                            SearchStats* stats = nullptr);
 
 }  // namespace janus

@@ -101,6 +101,7 @@ std::size_t count_conflicts(
 }  // namespace
 
 MplResult decompose(const std::vector<WireShape>& shapes, const MplOptions& opts) {
+    constexpr int kMaxStitchPasses = 64;  // colour/stitch rounds before giving up
     MplResult res;
     res.shapes = shapes;
     // Record original index as parent for stitch bookkeeping.
@@ -123,7 +124,7 @@ MplResult decompose(const std::vector<WireShape>& shapes, const MplOptions& opts
         res.color = dsatur(res.shapes.size(), adj, opts.num_masks);
         res.unresolved_conflicts = count_conflicts(res.color, edges);
         if (res.unresolved_conflicts == 0 || !opts.allow_stitches ||
-            pass >= opts.max_stitch_passes) {
+            pass >= kMaxStitchPasses) {
             break;
         }
         // Stitch: split a shape involved in a conflict at a legal stitch

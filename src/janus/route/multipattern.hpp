@@ -34,7 +34,6 @@ struct MplOptions {
     bool allow_stitches = true;
     /// A shape can be stitched only if both halves are at least this long.
     double min_stitch_half_nm = 60.0;
-    int max_stitch_passes = 64;
 };
 
 struct MplResult {

@@ -201,8 +201,7 @@ TimingOutcome Session::apply_eco(const std::vector<EcoEdit>& edits) {
     if (structural) {
         // The epoch moved: the warm graph is stale by contract. Full
         // fallback — rebuild and analyze from scratch.
-        bool rebuilt = false;
-        warm_graph(&rebuilt);
+        warm_graph(nullptr);
         out.incremental = false;
         out.evals = out.full_evals;
     } else {

@@ -7,17 +7,6 @@
 
 namespace janus {
 
-struct MethodologyParams {
-    int num_domains = 4;            ///< sensing, RF, compute, power
-    double domain_design_weeks = 8; ///< per-domain design effort
-    double handoff_weeks = 3;       ///< manual transfer between domain tools
-    double integration_iterations_expert = 4;  ///< respins until domains agree
-    double integration_iterations_automated = 1.2;
-    double engineer_cost_per_week_usd = 4000;
-    /// Fraction of per-domain effort an integrated flow automates away.
-    double automation_factor = 0.45;
-};
-
 struct MethodologyCost {
     double design_weeks = 0;
     double design_cost_usd = 0;
@@ -26,10 +15,10 @@ struct MethodologyCost {
 
 /// Expert methodology: serial domain design + manual hand-offs, repeated
 /// over the integration iterations.
-MethodologyCost expert_methodology(const MethodologyParams& p = {});
+MethodologyCost expert_methodology();
 
 /// Automated co-design methodology: parallel domain design inside one
 /// framework, automated hand-off, fewer iterations.
-MethodologyCost automated_methodology(const MethodologyParams& p = {});
+MethodologyCost automated_methodology();
 
 }  // namespace janus

@@ -6,6 +6,8 @@
 namespace janus {
 namespace {
 
+constexpr double kSocNreUsd = 3e6;  ///< port-everything-to-one-tech NRE
+
 bool absorbable_into_soc(const Component& c) {
     // Only plain-CMOS digital/RF parts can merge into one die.
     return c.technology.rfind("CMOS", 0) == 0;
@@ -83,7 +85,7 @@ IntegrationResult integrate(const SmartSystem& sys, IntegrationStyle style,
             res.interconnect_power_uw = 0.2 * dies;
             res.yield = 0.98;
             res.total_cost_usd = bom * 0.7 + res.assembly_cost_usd +
-                                 opts.soc_nre_usd / std::max(1.0, opts.production_volume);
+                                 kSocNreUsd / std::max(1.0, opts.production_volume);
             res.total_cost_usd /= res.yield;
             break;
         }

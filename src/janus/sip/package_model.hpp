@@ -25,7 +25,6 @@ struct IntegrationResult {
 
 struct IntegrationOptions {
     double production_volume = 100000;  ///< units, for NRE amortization
-    double soc_nre_usd = 3e6;           ///< port-everything-to-one-tech NRE
 };
 
 /// Evaluates one integration style for a system. A monolithic SoC is

@@ -12,11 +12,12 @@
 
 namespace janus {
 
+/// Resize passes before size_for_timing gives up; it stops earlier once
+/// WNS is non-negative (timing met).
+inline constexpr int kMaxSizingPasses = 8;
+
 struct SizingOptions {
     StaOptions sta;
-    int max_passes = 8;
-    /// Stop once WNS is non-negative (timing met).
-    bool stop_when_met = true;
 };
 
 struct SizingResult {

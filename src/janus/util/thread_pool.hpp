@@ -59,8 +59,8 @@ class ThreadPool {
 /// The one intra-stage parallel sweep: `slots()` worker slots with stable
 /// ids, so each slot can own scratch (cone evaluators, claim arrays, grid
 /// copies) that is allocated once and reused across every for_each call.
-/// Synthesis levels, timing levels, placement regions, routing panels and
-/// tuner waves all run on it.
+/// Synthesis levels, timing levels, placement regions and routing panels
+/// all run on it.
 class WorkerTeam {
   public:
     /// `workers` <= 1 starts no threads: every call runs inline.

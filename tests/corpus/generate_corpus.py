@@ -14,6 +14,8 @@ the generator claims to implement):
   counter8.blif  8-bit enabled binary counter with terminal count
   par32.aag      32-input parity tree, ASCII AIGER
   mul6.aig       6x6 array multiplier, binary AIGER
+  mul6.aag       the same multiplier, ASCII AIGER (its twin, so the tests
+                 can check that both readers load one design)
 
 Run from anywhere: files land next to the script. Byte-stable across
 runs (no timestamps, fixed iteration order).
@@ -310,7 +312,8 @@ def gen_par32():
                     "par32: 32-input parity tree")
 
 
-def gen_mul6():
+def mul6():
+    """The 6x6 array multiplier as aag_text/aig_binary arguments."""
     W = 6
     g = AigBuilder(2 * W)
     a = [g.inp(i) for i in range(W)]
@@ -344,10 +347,10 @@ def gen_mul6():
         outs.append(nxt[0])
         acc = nxt[1:]
     outs.extend(acc)
-    return aig_binary(g, outs,
-                      [f"a{i}" for i in range(W)] + [f"b{i}" for i in range(W)],
-                      [f"m{i}" for i in range(2 * W)],
-                      "mul6: 6x6 array multiplier")
+    return (g, outs,
+            [f"a{i}" for i in range(W)] + [f"b{i}" for i in range(W)],
+            [f"m{i}" for i in range(2 * W)],
+            "mul6: 6x6 array multiplier")
 
 
 # ------------------------------------------------------------- reference ---
@@ -378,7 +381,8 @@ def main():
     write("alu8.bench", gen_alu8())
     write("counter8.blif", gen_counter8())
     write("par32.aag", gen_par32())
-    write("mul6.aig", gen_mul6())
+    write("mul6.aig", aig_binary(*mul6()))
+    write("mul6.aag", aag_text(*mul6()))
 
 
 if __name__ == "__main__":

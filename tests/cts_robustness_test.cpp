@@ -53,8 +53,6 @@ TEST(ClockTree, CoversEveryFlopExactlyOnce) {
 
 TEST(ClockTree, SmallClusterFitsOneNode) {
     const Netlist nl = generate_counter(lib28(), 4);  // 4 flops, unplaced
-    ClockTreeOptions opts;
-    opts.max_leaf_cluster = 8;
     const ClockTree ct = build_clock_tree(nl);
     ASSERT_EQ(ct.nodes.size(), 1u);
     EXPECT_EQ(ct.nodes[0].leaves.size(), 4u);

@@ -90,7 +90,6 @@ TEST(Sizing, ImprovesCriticalDelayOnLoadedPath) {
 
     SizingOptions opts;
     opts.sta.clock_period_ps = 100.0;  // unmeetable: size as far as possible
-    opts.stop_when_met = false;
     const SizingResult res = size_for_timing(nl, opts);
     EXPECT_LT(res.delay_after_ps, res.delay_before_ps);
     EXPECT_GT(res.cells_resized, 0);
@@ -113,7 +112,6 @@ TEST(Sizing, PreservesFunction) {
     Netlist nl = golden;
     SizingOptions opts;
     opts.sta.clock_period_ps = 10.0;
-    opts.stop_when_met = false;
     size_for_timing(nl, opts);
     const auto res = check_equivalence(golden, nl);
     EXPECT_TRUE(res.equivalent);

@@ -1,7 +1,7 @@
 // Tests for the staged FlowEngine API: staged/legacy equivalence, batch
 // bit-identity across worker counts, stage skip/resume round-trips,
-// FlowParams validation, the thread pool, and wave-scheduled parallel
-// tuning.
+// FlowParams and input-netlist validation, the thread pool, and the
+// tuner's warm-up pulls.
 
 #include <gtest/gtest.h>
 
@@ -249,6 +249,38 @@ TEST(FlowParams, EngineAndWrapperRejectInvalidParams) {
     EXPECT_THROW(FlowContext(nl, node, p), std::invalid_argument);
 }
 
+TEST(FlowEngine, UnconnectedPinIsRejectedByEveryEntryPoint) {
+    // One AND2 with pin 1 left at kNoNet (add_instance allows it for
+    // deferred wiring). The flow must refuse it up front with
+    // validate()'s diagnostic instead of running synthesis on it.
+    Netlist bad(lib28(), "bad");
+    const NetId a = bad.add_primary_input("a");
+    const InstId g = bad.add_instance(
+        "g", *lib28()->find_function(CellFunction::And2), {a, kNoNet});
+    bad.add_primary_output("y", bad.instance(g).output);
+    const auto node = *find_node("28nm");
+    try {
+        run_flow(bad, node, FlowParams{});
+        ADD_FAILURE() << "run_flow accepted an unconnected pin";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("pin 1 unconnected"), std::string::npos)
+            << e.what();
+    }
+
+    // In a batch the bad job fails alone; its sibling runs as if alone.
+    const Netlist good = small_design(1);
+    std::vector<FlowJob> jobs;
+    jobs.push_back(FlowJob{bad, node, FlowParams{}});
+    jobs.push_back(FlowJob{good, node, FlowParams{}});
+    const auto results = FlowEngine().run_batch(std::move(jobs), 2);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].failed());
+    EXPECT_NE(results[0].error.find("pin 1 unconnected"), std::string::npos)
+        << results[0].error;
+    EXPECT_FALSE(results[1].failed()) << results[1].error;
+    expect_same_qor(results[1], run_flow(good, node, FlowParams{}));
+}
+
 TEST(FlowParams, StageMaskOperations) {
     const FlowStageMask m = FlowStageMask::Scan | FlowStageMask::Sizing;
     EXPECT_TRUE(has_stage(m, FlowStageMask::Scan));
@@ -326,41 +358,11 @@ TEST(Rng, MixSeedIsDeterministicAndDecorrelated) {
 
 // ---------------------------------------------------------------- tuner
 
-TEST(Tuner, WaveScheduledTuningIsBitIdenticalAcrossWorkerCounts) {
-    const auto arms = default_arms();
-    // Deterministic synthetic cost, pure in (params, run): what a real
-    // seeded flow evaluation provides.
-    const auto eval = [](const FlowParams& p, int run) {
-        return static_cast<double>(p.placer_iterations % 97) +
-               0.01 * static_cast<double>(run % 13) +
-               (p.utilization > 0.7 ? 25.0 : 0.0);
-    };
-    TunerOptions serial_opts;
-    serial_opts.runs = 30;
-    serial_opts.workers = 1;
-    serial_opts.wave = 4;
-    const TunerResult serial = tune(arms, eval, serial_opts);
-
-    TunerOptions parallel_opts = serial_opts;
-    parallel_opts.workers = 4;
-    const TunerResult parallel = tune(arms, eval, parallel_opts);
-
-    ASSERT_EQ(serial.history.size(), parallel.history.size());
-    for (std::size_t i = 0; i < serial.history.size(); ++i) {
-        EXPECT_EQ(serial.history[i].arm, parallel.history[i].arm);
-        EXPECT_EQ(serial.history[i].cost, parallel.history[i].cost);
-    }
-    EXPECT_EQ(serial.best_arm, parallel.best_arm);
-    EXPECT_EQ(serial.best_mean_cost, parallel.best_mean_cost);
-    EXPECT_EQ(serial.pulls, parallel.pulls);
-}
-
 TEST(Tuner, WavePathWarmsUpEveryArm) {
     const auto arms = default_arms();
     const auto eval = [](const FlowParams&, int) { return 1.0; };
     TunerOptions opts;
     opts.runs = static_cast<int>(arms.size()) + 3;
-    opts.workers = 3;
     const auto res = tune(arms, eval, opts);
     for (std::size_t a = 0; a < arms.size(); ++a) {
         EXPECT_GE(res.pulls[a], 1);

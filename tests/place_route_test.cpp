@@ -224,7 +224,7 @@ TEST(LineSearch, FindsPathAndMatchesEndpoints) {
 TEST(LineSearch, ExpandsFewerCellsThanMazeOnOpenGrid) {
     GridGraph grid(64, 64, 4.0);
     SearchStats ls, mz;
-    const auto r1 = line_search_route(grid, {5, 5}, {60, 58}, {}, &ls);
+    const auto r1 = line_search_route(grid, {5, 5}, {60, 58}, &ls);
     const auto r2 = maze_route(grid, {5, 5}, {60, 58}, {}, &mz);
     ASSERT_TRUE(r1 && r2);
     EXPECT_LT(ls.cells_expanded, mz.cells_expanded);

@@ -465,8 +465,8 @@ SizingResult legacy_size_for_timing(Netlist& nl, const SizingOptions& opts) {
     res.wns_before_ps = tr.wns_ps;
     res.delay_before_ps = tr.critical_delay_ps;
     res.area_before_um2 = nl.total_area();
-    for (int pass = 0; pass < opts.max_passes; ++pass) {
-        if (opts.stop_when_met && tr.met()) break;
+    for (int pass = 0; pass < kMaxSizingPasses; ++pass) {
+        if (tr.met()) break;
         ++res.passes;
         std::vector<std::pair<InstId, std::size_t>> undo;
         int resized = 0;

@@ -295,9 +295,7 @@ TEST(Decap, RemovesHotspots) {
     // Strong localized demand in the center: a classic hotspot.
     grid.add_current(15, 15, 120.0);
     grid.add_current(16, 16, 120.0);
-    DecapOptions opts;
-    opts.hotspot_drop_fraction = 0.05;
-    const auto res = insert_decaps(grid, opts);
+    const auto res = insert_decaps(grid);
     EXPECT_FALSE(res.initial_hotspots.empty());
     EXPECT_LT(res.after.worst_drop_v, res.before.worst_drop_v);
     EXPECT_LT(res.remaining_hotspots.size(), res.initial_hotspots.size());
