@@ -4,7 +4,11 @@
 ///     post-legalization HPWL;
 /// (b) router: pattern-route first pass on/off and rip-up iterations vs
 ///     overflow and runtime.
+///
+/// Exits 1 when a deterministic SHAPE CHECK fails; the wall-time
+/// comparison of the two routing strategies is printed only.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -25,26 +29,30 @@ int main() {
     // ---- placer ablation.
     std::printf("placer (20k-instance mesh):\n%10s %8s %14s %10s\n", "cg_iters",
                 "rounds", "hpwl_um", "time_ms");
-    double hpwl_low = 0, hpwl_high = 0;
-    for (const int iters : {50, 300, 800}) {
-        for (const int spread : {0, 12}) {
+    // hpwl[b][s]: post-legalization HPWL at budget kBudgets[b] and
+    // spreading_iterations kSpreads[s] (1 and 3 rounds).
+    constexpr int kBudgets[] = {50, 300, 800};
+    constexpr int kSpreads[] = {0, 12};
+    double hpwl[3][2] = {};
+    for (int b = 0; b < 3; ++b) {
+        for (int s = 0; s < 2; ++s) {
             Netlist nl = generate_mesh(lib, 20000, 15);
             const PlacementArea area = make_placement_area(nl, node, 0.65);
             AnalyticPlaceOptions opts;
-            opts.solver_iterations = iters;
-            opts.spreading_iterations = spread;
+            opts.solver_iterations = kBudgets[b];
+            opts.spreading_iterations = kSpreads[s];
             const auto t0 = std::chrono::steady_clock::now();
             analytic_place(nl, area, opts);
             legalize(nl, area);
             const double ms = bench::ms_since(t0);
-            const double hpwl = total_hpwl_um(nl, area);
-            std::printf("%10d %8d %14.0f %10.0f\n", iters, spread / 4, hpwl, ms);
-            if (iters == 50 && spread == 0) hpwl_low = hpwl;
-            if (iters == 800 && spread == 12) hpwl_high = hpwl;
+            hpwl[b][s] = total_hpwl_um(nl, area);
+            std::printf("%10d %8d %14.0f %10.0f\n", kBudgets[b],
+                        std::max(1, kSpreads[s] / 4), hpwl[b][s], ms);
         }
     }
 
     // ---- SA refinement on top.
+    bool ok = true;
     {
         Netlist nl = generate_mesh(lib, 8000, 15);
         const PlacementArea area = make_placement_area(nl, node, 0.65);
@@ -56,8 +64,8 @@ int main() {
         std::printf("\nSA refinement (8k mesh): %.0f -> %.0f um (%.1f%%)\n",
                     sa.initial_hpwl_um, sa.final_hpwl_um,
                     100.0 * sa.improvement());
-        bench::shape_check("SA detailed placement further improves HPWL",
-                           sa.final_hpwl_um <= sa.initial_hpwl_um);
+        ok &= bench::shape_check("SA detailed placement further improves HPWL",
+                                 sa.final_hpwl_um <= sa.initial_hpwl_um);
     }
 
     // ---- router ablation.
@@ -89,9 +97,14 @@ int main() {
         }
     }
 
-    bench::shape_check("solver budget + spreading rounds improve HPWL",
-                       hpwl_high < hpwl_low);
+    ok &= bench::shape_check("spreading rounds improve HPWL at the default budget",
+                             hpwl[1][1] < hpwl[1][0]);
+    // The coarse-to-fine solve converges long range on a small coarsest
+    // level, so the budget no longer buys wirelength.
+    ok &= bench::shape_check("a 50-iteration budget places within 2% of 800",
+                             hpwl[0][1] <= 1.02 * hpwl[2][1]);
+    // Wall times depend on load, so this verdict is printed only.
     bench::shape_check("pattern-first maze is the faster full-route strategy",
                        t_pattern <= t_search * 1.5);
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 /// phase/permutation-matched covering). On well-structured arithmetic the
 /// matched covering is the dominant lever; Espresso refactoring earns its
 /// keep on redundant logic, which this bench demonstrates separately.
+/// Exits 1 when a SHAPE CHECK fails.
 
 #include <cstdio>
 #include <vector>
@@ -119,12 +120,12 @@ int main() {
                 100.0 * (1.0 - static_cast<double>(opt.num_ands()) /
                                    static_cast<double>(raw.num_ands())));
 
-    bench::shape_check("matched covering is the dominant area lever (>30%)",
-                       strash_matched < 0.7 * strash_naive);
-    bench::shape_check("balancing reduces logic depth", balance_depth < strash_depth);
-    bench::shape_check("full script never loses to plain strash+map",
-                       full_matched <= strash_matched * 1.001);
-    bench::shape_check("refactoring collapses redundant logic by >25%",
-                       opt.num_ands() < raw.num_ands() * 3 / 4);
-    return 0;
+    bool ok = bench::shape_check("matched covering is the dominant area lever (>30%)",
+                                 strash_matched < 0.7 * strash_naive);
+    ok &= bench::shape_check("balancing reduces logic depth", balance_depth < strash_depth);
+    ok &= bench::shape_check("full script never loses to plain strash+map",
+                             full_matched <= strash_matched * 1.001);
+    ok &= bench::shape_check("refactoring collapses redundant logic by >25%",
+                             opt.num_ands() < raw.num_ands() * 3 / 4);
+    return ok ? 0 : 1;
 }

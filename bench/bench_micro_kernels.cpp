@@ -1,6 +1,6 @@
 /// Microbenchmarks of the JanusEDA hot kernels (google-benchmark):
 /// AIG construction + rewriting, cut enumeration and cut-function
-/// evaluation, Espresso, maze vs
+/// evaluation, Espresso, global placement, maze vs
 /// line-search routing, bit-parallel fault simulation, BDD/BBDD builds,
 /// SOR grid solve, and the .jnl reader. These are the per-operation costs
 /// behind the experiment-level numbers in E1/E3/E5/E9 and the load time
@@ -22,6 +22,7 @@
 #include "janus/logic/tech_map.hpp"
 #include "janus/netlist/generator.hpp"
 #include "janus/netlist/io.hpp"
+#include "janus/place/analytic_place.hpp"
 #include "janus/power/power_grid.hpp"
 #include "janus/route/line_search.hpp"
 #include "janus/route/maze_router.hpp"
@@ -117,6 +118,19 @@ void BM_Espresso(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_Espresso);
+
+void BM_AnalyticPlace(benchmark::State& state) {
+    // Each call restarts from the seeded random spread, so one netlist
+    // serves every iteration.
+    Netlist nl = generate_mesh(lib28(), static_cast<std::size_t>(state.range(0)), 15);
+    const PlacementArea area = make_placement_area(nl, *find_node("28nm"), 0.65);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(analytic_place(nl, area).hpwl_um);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(nl.num_instances()));
+}
+BENCHMARK(BM_AnalyticPlace)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_MazeRoute(benchmark::State& state) {
     GridGraph grid(64, 64, 8.0);

@@ -57,10 +57,7 @@ Netlist make_design(const std::shared_ptr<const CellLibrary>& lib,
                     PlacementArea* area_out) {
     Netlist nl = generate_mesh(lib, gates, 15);
     const PlacementArea area = make_placement_area(nl, node, 0.65);
-    AnalyticPlaceOptions popts;
-    popts.solver_iterations =
-        200 + 3 * static_cast<int>(std::sqrt(static_cast<double>(gates)));
-    analytic_place(nl, area, popts);
+    analytic_place(nl, area);
     legalize(nl, area);
     *area_out = area;
     return nl;

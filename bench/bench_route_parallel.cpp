@@ -13,7 +13,6 @@
 /// ctest unit (nonzero exit on failure; no BENCH file update).
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -63,10 +62,7 @@ Netlist make_design(const std::shared_ptr<const CellLibrary>& lib,
                     GlobalRouteOptions* ropts_out) {
     Netlist nl = generate_mesh(lib, gates, 15);
     const PlacementArea area = make_placement_area(nl, node, 0.65);
-    AnalyticPlaceOptions popts;
-    popts.solver_iterations =
-        200 + 3 * static_cast<int>(std::sqrt(static_cast<double>(gates)));
-    analytic_place(nl, area, popts);
+    analytic_place(nl, area);
     legalize(nl, area);
     GlobalRouteOptions ropts;
     ropts.gcells_x = ropts.gcells_y =

@@ -48,7 +48,9 @@ constexpr bool has_stage(FlowStageMask mask, FlowStageMask bit) {
 struct FlowParams {
     int optimize_rounds = 3;       ///< AIG balance/refactor rounds
     double utilization = 0.65;
-    int placer_iterations = 250;   ///< analytic CG solver iterations
+    /// Cap on each CG solve of global placement: the coarsest level of the
+    /// unanchored solve, and max(5, cap/4) for each anchored re-solve.
+    int placer_iterations = 250;
     int sa_moves_per_cell = 0;     ///< 0 disables detailed placement
     int router_iterations = 8;
     int routing_layers = 6;

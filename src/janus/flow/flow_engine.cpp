@@ -139,7 +139,8 @@ FlowEngine::FlowEngine() : memo_(std::make_shared<SopCache>()) {
         ctx.placed = true;
         ctx.trace.note("hpwl", pq.hpwl_um);
         ctx.trace.note("rows", ctx.area.num_rows);
-        ctx.trace.note("iters", popts.solver_iterations);
+        ctx.trace.note("levels", pq.levels);
+        ctx.trace.note("fine_iterations", pq.fine_iterations);
     });
 
     add("legalize", nullptr, [](FlowContext& ctx) {

@@ -1,10 +1,13 @@
 #pragma once
 /// \file analytic_place.hpp
 /// Global placement: quadratic wirelength minimization over a star net
-/// model, solved per axis by Jacobi-preconditioned conjugate gradients,
-/// alternated with spreading by recursive median bisection and anchored
-/// re-solves (SimPL style). This is the throughput path used for large
-/// designs (E5).
+/// model (one auxiliary variable per net), solved per axis by
+/// Jacobi-preconditioned conjugate gradients, alternated with spreading by
+/// recursive median bisection and anchored re-solves (SimPL style). On
+/// large designs the first, unanchored solve runs coarse to fine over an
+/// aggregation hierarchy of the star-model system (docs/PLACE.md); a system
+/// of at most 2,000 variables is solved on its own. This is the throughput
+/// path used for large designs (E5).
 
 #include <cstdint>
 
@@ -27,7 +30,9 @@ PlacementArea make_placement_area(const Netlist& nl, const TechnologyNode& node,
                                   double utilization = 0.7);
 
 struct AnalyticPlaceOptions {
-    int solver_iterations = 300;  // CG iterations (cheap; long meshes need hundreds)
+    /// Cap on each CG solve: the unanchored solve on the coarsest level,
+    /// and max(5, cap/4) for each anchored re-solve.
+    int solver_iterations = 300;
     int spreading_iterations = 12;
     std::uint64_t seed = 1;
 };
@@ -35,6 +40,10 @@ struct AnalyticPlaceOptions {
 struct PlaceQuality {
     double hpwl_um = 0;       ///< total half-perimeter wirelength
     double runtime_ms = 0;    ///< wall time of the placement call
+    int levels = 1;           ///< levels of the solver hierarchy (1: never coarsened)
+    /// CG iterations run on the star model itself, summed over both axes
+    /// and every solve.
+    std::int64_t fine_iterations = 0;
 };
 
 /// Places all instances of `nl` inside `area` (positions written into the

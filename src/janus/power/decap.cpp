@@ -3,10 +3,16 @@
 #include <algorithm>
 
 namespace janus {
+namespace {
 
-std::vector<Hotspot> find_hotspots(const IrDropReport& rep, double drop_fraction) {
+// A node is a hotspot when its IR drop exceeds this fraction of VDD.
+constexpr double kHotspotDropFraction = 0.05;
+
+}  // namespace
+
+std::vector<Hotspot> find_hotspots(const IrDropReport& rep) {
     std::vector<Hotspot> out;
-    const double limit = drop_fraction * rep.vdd;
+    const double limit = kHotspotDropFraction * rep.vdd;
     for (std::size_t r = 0; r < rep.rows; ++r) {
         for (std::size_t c = 0; c < rep.cols; ++c) {
             const double drop = rep.drop_at(c, r);
@@ -19,21 +25,19 @@ std::vector<Hotspot> find_hotspots(const IrDropReport& rep, double drop_fraction
 }
 
 DecapResult insert_decaps(PowerGrid& grid, const DecapOptions& opts) {
-    // A node is a hotspot when its IR drop exceeds this fraction of VDD.
-    constexpr double kHotspotDropFraction = 0.05;
     // Decap pF that halves the effective transient demand of one node.
     constexpr double kHalvingPf = 10.0;
 
     DecapResult res;
     res.before = grid.solve();
-    res.initial_hotspots = find_hotspots(res.before, kHotspotDropFraction);
+    res.initial_hotspots = find_hotspots(res.before);
 
     // Accumulated decap per node (pF).
     std::vector<double> decap_pf(grid.cols() * grid.rows(), 0.0);
     IrDropReport current = res.before;
 
     while (res.decap_steps_used < opts.max_steps) {
-        const auto hs = find_hotspots(current, kHotspotDropFraction);
+        const auto hs = find_hotspots(current);
         if (hs.empty()) break;
         const Hotspot& worst = hs.front();
         const std::size_t k = worst.row * grid.cols() + worst.col;
@@ -58,7 +62,7 @@ DecapResult insert_decaps(PowerGrid& grid, const DecapOptions& opts) {
         current = grid.solve();
     }
     res.after = current;
-    res.remaining_hotspots = find_hotspots(current, kHotspotDropFraction);
+    res.remaining_hotspots = find_hotspots(current);
     return res;
 }
 

@@ -37,8 +37,9 @@ struct DecapResult {
     IrDropReport after;
 };
 
-/// Finds all hotspot nodes of a solved grid.
-std::vector<Hotspot> find_hotspots(const IrDropReport& rep, double drop_fraction);
+/// Finds all hotspot nodes of a solved grid: those whose IR drop exceeds
+/// 5% of VDD, worst first.
+std::vector<Hotspot> find_hotspots(const IrDropReport& rep);
 
 /// Iteratively inserts decap at the worst hotspot until none remain or
 /// the budget is exhausted. The grid is modified (currents relieved).

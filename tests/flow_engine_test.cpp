@@ -1,7 +1,6 @@
 // Tests for the staged FlowEngine API: staged/legacy equivalence, batch
 // bit-identity across worker counts, stage skip/resume round-trips,
-// FlowParams and input-netlist validation, the thread pool, and the
-// tuner's warm-up pulls.
+// FlowParams and input-netlist validation, and the thread pool.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "janus/flow/flow.hpp"
 #include "janus/flow/flow_engine.hpp"
 #include "janus/flow/report.hpp"
-#include "janus/flow/tuner.hpp"
 #include "janus/netlist/generator.hpp"
 #include "janus/util/rng.hpp"
 #include "janus/util/thread_pool.hpp"
@@ -354,19 +352,6 @@ TEST(Rng, MixSeedIsDeterministicAndDecorrelated) {
     for (std::uint64_t s = 0; s < 100; ++s) seen.insert(mix_seed(42, s));
     EXPECT_EQ(seen.size(), 100u);  // no collisions across stream indices
     EXPECT_NE(mix_seed(1, 5), mix_seed(2, 5));
-}
-
-// ---------------------------------------------------------------- tuner
-
-TEST(Tuner, WavePathWarmsUpEveryArm) {
-    const auto arms = default_arms();
-    const auto eval = [](const FlowParams&, int) { return 1.0; };
-    TunerOptions opts;
-    opts.runs = static_cast<int>(arms.size()) + 3;
-    const auto res = tune(arms, eval, opts);
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-        EXPECT_GE(res.pulls[a], 1);
-    }
 }
 
 }  // namespace

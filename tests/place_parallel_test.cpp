@@ -257,6 +257,11 @@ TEST(PlaceParallel, FlowStagesTracePlacementDetail) {
         return missing;
     };
     EXPECT_NE(entry_of("place").find_note("hpwl"), nullptr);
+    // 300 gates stay below the coarsest-level size: one level, whose
+    // solves all count as fine iterations.
+    EXPECT_EQ(entry_of("place").note_int("levels"), 1);
+    EXPECT_GT(entry_of("place").note_int("fine_iterations"), 0);
+    EXPECT_EQ(entry_of("place").find_note("iters"), nullptr);
     EXPECT_NE(entry_of("legalize").find_note("disp_total"), nullptr);
     EXPECT_NE(entry_of("legalize").find_note("disp_max"), nullptr);
     EXPECT_EQ(entry_of("legalize").note_int("success"), 1);

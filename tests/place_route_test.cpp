@@ -2,9 +2,11 @@
 
 #include <memory>
 #include <set>
+#include <sstream>
 #include <utility>
 
 #include "janus/netlist/generator.hpp"
+#include "janus/netlist/io.hpp"
 #include "janus/place/analytic_place.hpp"
 #include "janus/place/congestion.hpp"
 #include "janus/place/legalize.hpp"
@@ -14,6 +16,7 @@
 #include "janus/route/line_search.hpp"
 #include "janus/route/maze_router.hpp"
 #include "janus/route/multipattern.hpp"
+#include "janus/util/name_table.hpp"
 
 namespace janus {
 namespace {
@@ -63,6 +66,43 @@ TEST(Place, AnalyticBeatsRandomHpwl) {
     const double random_hpwl = total_hpwl_um(nl, area);
     const auto q = analytic_place(nl, area);
     EXPECT_LT(q.hpwl_um, 0.7 * random_hpwl);
+}
+
+TEST(Place, MultilevelSolveOnFlatMeshShape) {
+    // The flat_mesh workload's design shape at the flow's 250-iteration cap.
+    Netlist nl = generate_mesh(lib28(), 45000, 1, 4);
+    Netlist again = nl;
+    const PlacementArea area = make_placement_area(nl, *find_node("28nm"), 0.65);
+    AnalyticPlaceOptions opts;
+    opts.solver_iterations = 250;
+    const PlaceQuality q = analytic_place(nl, area, opts);
+    EXPECT_GE(q.levels, 2);
+    // A single-level solve ran about 2 x (250 + 63) fine iterations here.
+    EXPECT_LE(q.fine_iterations, 250);
+
+    analytic_place(again, area, opts);
+    for (InstId i = 0; i < nl.num_instances(); ++i) {
+        ASSERT_EQ(nl.instance(i).position, again.instance(i).position) << i;
+    }
+
+    legalize(nl, area);
+    // Post-legalize HPWL of the single-level solve (250 iterations at full
+    // size) on this design.
+    constexpr double kSingleLevelHpwlUm = 364561.455;
+    EXPECT_LE(total_hpwl_um(nl, area), 0.9 * kSingleLevelHpwlUm);
+}
+
+TEST(Place, SmallSystemKeepsSingleLevelPlacement) {
+    // About 800 variables: below the coarsest-level size, so the system
+    // never coarsens and the placement is the single-level solve's, pinned
+    // by the FNV-1a-64 of its placement text.
+    Netlist nl = generate_mesh(lib28(), 400, 5);
+    const PlacementArea area = make_placement_area(nl, *find_node("28nm"));
+    const PlaceQuality q = analytic_place(nl, area);
+    EXPECT_EQ(q.levels, 1);
+    std::ostringstream placement;
+    write_placement(placement, nl);
+    EXPECT_EQ(hash_name(placement.str()), 0x5af76ad80e44818dull);
 }
 
 TEST(Place, LegalizeProducesLegalPlacement) {
