@@ -1,6 +1,6 @@
 /// Microbenchmarks of the JanusEDA hot kernels (google-benchmark):
 /// AIG construction + rewriting, cut enumeration and cut-function
-/// evaluation, Espresso, global placement, maze vs
+/// evaluation, Espresso, global placement, SA detailed placement, maze vs
 /// line-search routing, bit-parallel fault simulation, BDD/BBDD builds,
 /// SOR grid solve, and the .jnl reader. These are the per-operation costs
 /// behind the experiment-level numbers in E1/E3/E5/E9 and the load time
@@ -23,6 +23,8 @@
 #include "janus/netlist/generator.hpp"
 #include "janus/netlist/io.hpp"
 #include "janus/place/analytic_place.hpp"
+#include "janus/place/legalize.hpp"
+#include "janus/place/sa_place.hpp"
 #include "janus/power/power_grid.hpp"
 #include "janus/route/line_search.hpp"
 #include "janus/route/maze_router.hpp"
@@ -131,6 +133,29 @@ void BM_AnalyticPlace(benchmark::State& state) {
                             static_cast<std::int64_t>(nl.num_instances()));
 }
 BENCHMARK(BM_AnalyticPlace)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+void BM_SaRefine(benchmark::State& state) {
+    // A pipelined 20k mesh (the flat_mesh shape), placed and legalized
+    // once; each iteration refines a fresh copy at 8 moves per cell on one
+    // worker, as the flat_mesh workload's sa_refine stage does.
+    Netlist placed = generate_mesh(lib28(), 20000, 15, 4);
+    const PlacementArea area = make_placement_area(placed, *find_node("28nm"), 0.65);
+    analytic_place(placed, area);
+    legalize(placed, area);
+    SaPlaceOptions opts;
+    opts.moves_per_cell = 8;
+    std::int64_t moves = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        Netlist nl = placed;
+        state.ResumeTiming();
+        const SaPlaceResult r = sa_refine(nl, area, opts);
+        benchmark::DoNotOptimize(r.final_hpwl_um);
+        moves += static_cast<std::int64_t>(r.total_moves);
+    }
+    state.SetItemsProcessed(moves);
+}
+BENCHMARK(BM_SaRefine)->Unit(benchmark::kMillisecond);
 
 void BM_MazeRoute(benchmark::State& state) {
     GridGraph grid(64, 64, 8.0);

@@ -174,6 +174,8 @@ FlowEngine::FlowEngine() : memo_(std::make_shared<SopCache>()) {
             ctx.trace.note("moves_per_round", sr.moves_per_round());
             ctx.trace.note("workers", sopts.workers);
             ctx.trace.note("hpwl_delta", sr.final_hpwl_um - sr.initial_hpwl_um);
+            ctx.trace.note("speculate_ms", sr.speculate_ms);
+            ctx.trace.note("serial_ms", sr.serial_ms);
         });
 
     // Chains restitched in placement order now that positions exist.

@@ -1,6 +1,7 @@
 #include "janus/place/net_bbox.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace janus {
 namespace {
@@ -46,52 +47,78 @@ bool shift_max(std::int64_t& m, std::uint32_t& c, std::int64_t from,
     return true;
 }
 
+double extent_um(std::int64_t minx, std::int64_t maxx, std::int64_t miny,
+                 std::int64_t maxy) {
+    return static_cast<double>((maxx - minx) + (maxy - miny)) * 1e-3;
+}
+
 }  // namespace
 
 NetBBoxCache::NetBBoxCache(const Netlist& nl, const PlacementArea& area,
                            const NetBBoxOptions& opts)
-    : nl_(&nl),
-      box_(nl.num_nets()),
-      insts_(nl.num_nets()),
-      fixed_(nl.num_nets()),
-      nets_of_(nl.num_instances()) {
+    : box_(nl.num_nets()),
+      pin_off_(nl.num_nets() + 1, 0),
+      net_off_(nl.num_instances() + 1, 0) {
+    const std::size_t cells = nl.num_instances();
+    for (InstId i = 0; i < cells; ++i) pos_.push_back(nl.instance(i).position);
+    // Pads become pins cells, cells + 1, ... in the placers' pad order.
+    std::vector<std::pair<NetId, std::uint32_t>> pads;  // (net, pin)
+    const auto add_pad = [&](NetId net, Point p) {
+        pads.emplace_back(net, static_cast<std::uint32_t>(pos_.size()));
+        pos_.push_back(p);
+    };
     if (opts.with_pads) {
         const std::size_t n_in = nl.primary_inputs().size();
         const std::size_t n_out = nl.primary_outputs().size();
         std::size_t k = 0;
         for (const NetId pi : nl.primary_inputs()) {
-            fixed_[pi].push_back(input_pad_position(area.die, k++, n_in));
+            add_pad(pi, input_pad_position(area.die, k++, n_in));
         }
         k = 0;
-        for (const auto& [name, net] : nl.primary_outputs()) {
-            (void)name;
-            fixed_[net].push_back(output_pad_position(area.die, k++, n_out));
+        for (const auto& po : nl.primary_outputs()) {
+            add_pad(po.second, output_pad_position(area.die, k++, n_out));
         }
+        std::sort(pads.begin(), pads.end());
     }
+    auto pad = pads.begin();
     for (NetId n = 0; n < nl.num_nets(); ++n) {
         const Net& net = nl.net(n);
         const auto add_inst = [&](InstId i) {
             if (opts.placed_only && !nl.instance(i).placed) return;
-            insts_[n].push_back(i);
+            pin_.push_back(i);
         };
         if (net.driver_kind == DriverKind::Instance) add_inst(net.driver_inst);
         for (const SinkRef& s : nl.sinks(n)) add_inst(s.inst());
         // Deduplicate: one bbox contribution per instance, or the boundary
         // counts (and incremental deltas) would double-count multi-pin
         // connections to the same cell.
-        std::sort(insts_[n].begin(), insts_[n].end());
-        insts_[n].erase(std::unique(insts_[n].begin(), insts_[n].end()),
-                        insts_[n].end());
-        // Nets visited in id order and each instance at most once per net,
-        // so nets_of_ comes out sorted and unique for free.
-        for (const InstId i : insts_[n]) nets_of_[i].push_back(n);
+        const auto first = pin_.begin() + pin_off_[n];
+        std::sort(first, pin_.end());
+        pin_.erase(std::unique(first, pin_.end()), pin_.end());
+        for (; pad != pads.end() && pad->first == n; ++pad) {
+            pin_.push_back(pad->second);
+        }
+        pin_off_[n + 1] = static_cast<std::uint32_t>(pin_.size());
         rescan(n);
     }
-    rescans_ = 0;  // construction scans are not incremental-path rescans
+    // Instance → nets. Nets visited in id order and each instance at most
+    // once per net, so every instance's run comes out sorted and unique.
+    for (const std::uint32_t i : pin_) {
+        if (i < cells) ++net_off_[i + 1];
+    }
+    std::partial_sum(net_off_.begin(), net_off_.end(), net_off_.begin());
+    net_.resize(net_off_.back());
+    std::vector<std::uint32_t> fill(net_off_.begin(), net_off_.end() - 1);
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+        for (const std::uint32_t i : pins(n)) {
+            if (i < cells) net_[fill[i]++] = n;
+        }
+    }
 }
 
 void NetBBoxCache::rescan(NetId n) {
     Box b;
+    b.degree = static_cast<std::uint32_t>(pins(n).size());
     bool first = true;
     const auto acc = [&](const Point& p) {
         if (first) {
@@ -126,21 +153,20 @@ void NetBBoxCache::rescan(NetId n) {
             ++b.n_maxy;
         }
     };
-    for (const InstId i : insts_[n]) acc(nl_->instance(i).position);
-    for (const Point& p : fixed_[n]) acc(p);
+    for (const std::uint32_t i : pins(n)) acc(pos_[i]);
     box_[n] = b;  // pin-less nets keep the empty sentinel (maxx < minx)
 }
 
 Rect NetBBoxCache::bbox(NetId n) const {
     const Box& b = box_[n];
-    if (degree(n) == 0) return Rect{};
+    if (b.degree == 0) return Rect{};
     return Rect{{b.minx, b.miny}, {b.maxx, b.maxy}};
 }
 
 double NetBBoxCache::net_hpwl_um(NetId n) const {
-    if (degree(n) < 2) return 0;
     const Box& b = box_[n];
-    return static_cast<double>((b.maxx - b.minx) + (b.maxy - b.miny)) * 1e-3;
+    if (b.degree < 2) return 0;
+    return extent_um(b.minx, b.maxx, b.miny, b.maxy);
 }
 
 double NetBBoxCache::total_hpwl_um() const {
@@ -149,45 +175,32 @@ double NetBBoxCache::total_hpwl_um() const {
     return total;
 }
 
-double NetBBoxCache::hpwl_if_moved_um(NetId n, InstId moved, Point from,
-                                      Point to) const {
-    if (degree(n) < 2) return 0;
-    Box b = box_[n];
-    if (shift_min(b.minx, b.n_minx, from.x, to.x) &&
-        shift_max(b.maxx, b.n_maxx, from.x, to.x) &&
-        shift_min(b.miny, b.n_miny, from.y, to.y) &&
-        shift_max(b.maxy, b.n_maxy, from.y, to.y)) {
-        return static_cast<double>((b.maxx - b.minx) + (b.maxy - b.miny)) * 1e-3;
-    }
-    // Boundary-shrinking move: rescan the net's pins with the moved pin
-    // substituted (the netlist still holds the frozen `from` position).
+double NetBBoxCache::hpwl_if_moved_um(NetId n, InstId moved, Point to) const {
+    if (box_[n].degree < 2) return 0;
     std::int64_t minx = INT64_MAX, maxx = INT64_MIN;
     std::int64_t miny = INT64_MAX, maxy = INT64_MIN;
-    const auto acc = [&](const Point& p) {
+    for (const std::uint32_t i : pins(n)) {
+        const Point p = i == moved ? to : pos_[i];
         minx = std::min(minx, p.x);
         maxx = std::max(maxx, p.x);
         miny = std::min(miny, p.y);
         maxy = std::max(maxy, p.y);
-    };
-    for (const InstId i : insts_[n]) {
-        acc(i == moved ? to : nl_->instance(i).position);
     }
-    for (const Point& p : fixed_[n]) acc(p);
-    return static_cast<double>((maxx - minx) + (maxy - miny)) * 1e-3;
+    return extent_um(minx, maxx, miny, maxy);
 }
 
-double NetBBoxCache::swap_delta_um(InstId a, Point pa, InstId b,
-                                   Point pb) const {
+double NetBBoxCache::swap_delta_um(InstId a, InstId b) const {
+    const Point pa = pos_[a], pb = pos_[b];
     double delta = 0;
-    const auto& na = nets_of_[a];
-    const auto& nb = nets_of_[b];
+    const auto na = nets_of(a);
+    const auto nb = nets_of(b);
     for (const NetId n : na) {
         if (std::binary_search(nb.begin(), nb.end(), n)) continue;
-        delta += hpwl_if_moved_um(n, a, pa, pb) - net_hpwl_um(n);
+        delta += hpwl_if_moved_um(n, a, pb) - net_hpwl_um(n);
     }
     for (const NetId n : nb) {
         if (std::binary_search(na.begin(), na.end(), n)) continue;
-        delta += hpwl_if_moved_um(n, b, pb, pa) - net_hpwl_um(n);
+        delta += hpwl_if_moved_um(n, b, pa) - net_hpwl_um(n);
     }
     return delta;
 }
@@ -207,8 +220,10 @@ void NetBBoxCache::update_net(NetId n, Point from, Point to) {
 }
 
 void NetBBoxCache::apply_swap(InstId a, Point pa, InstId b, Point pb) {
-    const auto& na = nets_of_[a];
-    const auto& nb = nets_of_[b];
+    pos_[a] = pb;
+    pos_[b] = pa;
+    const auto na = nets_of(a);
+    const auto nb = nets_of(b);
     for (const NetId n : na) {
         if (std::binary_search(nb.begin(), nb.end(), n)) continue;
         update_net(n, pa, pb);

@@ -1,8 +1,11 @@
 #include "janus/place/sa_place.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "janus/place/net_bbox.hpp"
@@ -35,7 +38,6 @@ struct CarryMove {
 /// An accepted-pending move awaiting its round's serial commit.
 struct PendingMove {
     InstId a = 0, b = 0;
-    Point pa, pb;         ///< round-frozen positions
     double delta_um = 0;  ///< vs the round-frozen cache
     int requeues = 0;
 };
@@ -69,12 +71,27 @@ struct SlotScratch {
     EpochClaims insts;
 };
 
+/// Milliseconds since `t`, restarting `t` at now.
+double lap_ms(std::chrono::steady_clock::time_point& t) {
+    const auto now = std::chrono::steady_clock::now();
+    const double ms = std::chrono::duration<double, std::milli>(now - t).count();
+    t = now;
+    return ms;
+}
+
 }  // namespace
 
 SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
                         const SaPlaceOptions& opts) {
+    if (opts.moves_per_cell < 0) {
+        throw std::invalid_argument(
+            "sa_refine: moves_per_cell must be >= 0, got " +
+            std::to_string(opts.moves_per_cell));
+    }
     SaPlaceResult res;
 
+    // The cache owns the positions from here on: the speculation reads them
+    // from it, and the netlist is only written, once per committed swap.
     NetBBoxCache cache(nl, area);
     res.initial_hpwl_um = cache.total_hpwl_um();
     res.final_hpwl_um = res.initial_hpwl_um;
@@ -103,6 +120,20 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
                           area.die.hi.y - area.die.lo.y, tiles, tiles);
     const std::size_t regions = static_cast<std::size_t>(grid.num_regions());
     res.regions = regions;
+    // Each cell's region under the plain and the half-tile-shifted grid,
+    // computed once; a committed swap exchanges its two cells' entries.
+    // Rounds alternate the grids: cells straddling one round's seam share
+    // an owner the next round, so seam-adjacent pairs are not permanently
+    // unswappable.
+    std::vector<std::uint32_t> cell_region[2];
+    for (int s = 0; s < 2; ++s) {
+        cell_region[s].resize(nl.num_instances());
+        for (InstId i = 0; i < nl.num_instances(); ++i) {
+            const Point p = cache.position(i);
+            cell_region[s][i] =
+                static_cast<std::uint32_t>(grid.region_of(p.x, p.y, s == 1));
+        }
+    }
 
     const std::size_t total_slots =
         static_cast<std::size_t>(opts.moves_per_cell) * nl.num_instances();
@@ -133,23 +164,22 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
     std::vector<CarryMove> carry;
 
     std::size_t consumed = 0;  // move slots drawn or burned so far
-    std::size_t cooled = 0;    // cooling cursor (slots whose decay applied)
+    std::size_t cooled = 0;    // slots whose cooling decay has applied
 
     while (consumed < total_slots || !carry.empty()) {
-        // Alternating half-tile-shifted grids: cells straddling one round's
-        // seam share an owner the next round, so seam-adjacent pairs are not
-        // permanently unswappable.
-        const bool shifted = (res.rounds % 2) == 1;
+        auto clock = std::chrono::steady_clock::now();
+        const std::vector<std::uint32_t>& region = cell_region[res.rounds % 2];
         const std::uint64_t round_seed = mix_seed(opts.seed, res.rounds);
         ++res.rounds;
 
-        // Advance the cooling clock over slots consumed by earlier rounds;
-        // the round then runs at a frozen temperature (worker-invariant by
-        // construction — `consumed` is schedule-independent).
-        while (cooled < consumed) {
-            if (cooled % chunk == chunk - 1) temp *= kCooling;
-            ++cooled;
+        // Advance the cooling clock over slots consumed by earlier rounds,
+        // one decay per completed chunk of slots; the round then runs at a
+        // frozen temperature (worker-invariant by construction — `consumed`
+        // is schedule-independent).
+        for (std::size_t k = consumed / chunk - cooled / chunk; k > 0; --k) {
+            temp *= kCooling;
         }
+        cooled = consumed;
         const double round_temp = std::max(1e-12, temp);
 
         // Serial prologue: bin cells and carried moves under this round's
@@ -161,24 +191,14 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
             out[r].reset();
         }
         for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            for (const InstId i : groups[gi]) {
-                const Point p = nl.instance(i).position;
-                rbins[static_cast<std::size_t>(
-                          grid.region_of(p.x, p.y, shifted))][gi]
-                    .push_back(i);
-            }
+            for (const InstId i : groups[gi]) rbins[region[i]][gi].push_back(i);
         }
         for (std::size_t r = 0; r < regions; ++r) {
             for (std::size_t gi = 0; gi < groups.size(); ++gi) {
                 if (rbins[r][gi].size() >= 2) elig[r].push_back(gi);
             }
         }
-        for (const CarryMove& m : carry) {
-            const Point p = nl.instance(m.a).position;
-            carried[static_cast<std::size_t>(
-                        grid.region_of(p.x, p.y, shifted))]
-                .push_back(m);
-        }
+        for (const CarryMove& m : carry) carried[region[m.a]].push_back(m);
         carry.clear();
 
         // Distribute this round's fresh-draw budget. Regions with nothing
@@ -190,11 +210,12 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
         for (std::size_t r = 0; r < regions; ++r) {
             quota[r] = budget / regions + (r < budget % regions ? 1 : 0);
         }
+        res.serial_ms += lap_ms(clock);
 
         // Speculation: each region draws, evaluates and Metropolis-decides
-        // its moves against the round-frozen netlist/cache, on its own RNG
-        // stream. The slot id picks only the scratch set — everything a
-        // region computes is a pure function of (seed, round, region).
+        // its moves against the round-frozen cache, on its own RNG stream.
+        // The slot id picks only the scratch set — everything a region
+        // computes is a pure function of (seed, round, region).
         team.for_each(regions, [&](std::size_t r, std::size_t slot) {
             RegionRound& o = out[r];
             SlotScratch& sc = scratch[slot];
@@ -224,9 +245,7 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
                     }
                     return;
                 }
-                const Point pa = nl.instance(a).position;
-                const Point pb = nl.instance(b).position;
-                const double delta = cache.swap_delta_um(a, pa, b, pb);
+                const double delta = cache.swap_delta_um(a, b);
                 ++o.evals;
                 const bool accept =
                     delta <= 0 ||
@@ -242,7 +261,7 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
                 sc.insts.claim(b);
                 for (const NetId n : cache.nets_of(a)) sc.nets.claim(n);
                 for (const NetId n : cache.nets_of(b)) sc.nets.claim(n);
-                o.pending.push_back({a, b, pa, pb, delta, requeues});
+                o.pending.push_back({a, b, delta, requeues});
             };
 
             for (const CarryMove& m : carried[r]) {
@@ -265,6 +284,7 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
                 evaluate(a, b, 0);
             }
         });
+        res.speculate_ms += lap_ms(clock);
 
         // Serial commit in region/draw order: deterministic by construction.
         // A pending move whose nets or cells an earlier region already
@@ -315,12 +335,15 @@ SaPlaceResult sa_refine(Netlist& nl, const PlacementArea& area,
                 for (const NetId n : cache.nets_of(m.a)) commit_nets.claim(n);
                 for (const NetId n : cache.nets_of(m.b)) commit_nets.claim(n);
                 std::swap(nl.instance(m.a).position, nl.instance(m.b).position);
-                cache.apply_swap(m.a, m.pa, m.b, m.pb);
+                cache.apply_swap(m.a, cache.position(m.a), m.b,
+                                 cache.position(m.b));
+                for (auto& reg : cell_region) std::swap(reg[m.a], reg[m.b]);
                 accumulated += m.delta_um;
                 ++res.accepted_moves;
             }
             for (const CarryMove& c : o.defers) carry.push_back(c);
         }
+        res.serial_ms += lap_ms(clock);
     }
 
     res.accumulated_hpwl_um = accumulated;

@@ -10,9 +10,15 @@
 /// NetBBoxCache, and accepted moves commit serially in deterministic
 /// region/draw order, with cross-region conflicts aborted and re-queued.
 /// The grid, the per-region RNG streams and the commit order are pure
-/// functions of the input and seed, so SaPlaceResult and the final
-/// placement are byte-identical for any worker count (docs/PLACE.md, same
-/// contract as route_workers/sta_workers).
+/// functions of the input and seed, so SaPlaceResult (apart from its two
+/// wall-time fields) and the final placement are byte-identical for any
+/// worker count (docs/PLACE.md, same contract as route_workers/sta_workers).
+///
+/// After the NetBBoxCache is built, positions are read from the cache, not
+/// the netlist; each committed swap is written to both. Each cell's region
+/// under the plain and the shifted grid is computed once and exchanged by
+/// committed swaps, so a round's serial prologue bins cells without
+/// reading a position.
 
 #include <cstdint>
 
@@ -21,7 +27,9 @@
 namespace janus {
 
 struct SaPlaceOptions {
-    int moves_per_cell = 50;     ///< total move slots = this * num cells
+    /// Total move slots = this * num cells; sa_refine throws
+    /// std::invalid_argument when it is negative.
+    int moves_per_cell = 50;
     std::uint64_t seed = 1;
     /// Worker slots speculatively evaluating regions (flow knob:
     /// FlowParams::workers). A pure performance knob: results are
@@ -56,6 +64,11 @@ struct SaPlaceResult {
     std::size_t commit_aborts = 0;
     /// Candidates dropped after exhausting their re-queue budget.
     std::size_t abandoned_moves = 0;
+    /// Wall time of the parallel speculation sweeps, summed over rounds.
+    double speculate_ms = 0;
+    /// Wall time of the serial work, summed over rounds: the prologue
+    /// (cooling, carried-move binning, quotas) plus the ordered commit.
+    double serial_ms = 0;
     double improvement() const {
         return initial_hpwl_um > 0 ? 1.0 - final_hpwl_um / initial_hpwl_um : 0.0;
     }

@@ -15,18 +15,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "janus/flow/flow.hpp"
 #include "janus/flow/flow_engine.hpp"
 #include "janus/flow/report.hpp"
 #include "janus/netlist/generator.hpp"
+#include "janus/netlist/io.hpp"
 #include "janus/place/analytic_place.hpp"
 #include "janus/place/legalize.hpp"
 #include "janus/place/net_bbox.hpp"
 #include "janus/place/sa_place.hpp"
+#include "janus/util/name_table.hpp"
 #include "janus/util/rng.hpp"
 
 namespace janus {
@@ -201,6 +209,208 @@ TEST(PlaceParallel, NetBBoxCacheStaysExactUnderRandomSwaps) {
     EXPECT_GT(cache.rescans(), 0u);
 }
 
+TEST(PlaceParallel, SaRefineMatchesRecordedResults) {
+    // Placement hash (FNV-1a-64 of the placement text) and every
+    // SaPlaceResult count and HPWL double (bitwise) are pinned, so a change
+    // that moves a draw, a delta or the commit order fails here even when
+    // every worker count agrees with every other. The pipelined mesh is the
+    // shape of the flat_mesh workload; the random design has wider nets.
+    // Both have pads.
+    struct Pinned {
+        bool mesh;
+        int moves_per_cell;
+        std::uint64_t placement_hash;
+        double initial, final_, accumulated;
+        std::size_t accepted, rejected, total, drawn, attempted, degenerate,
+            regions, rounds, local_defers, aborts, abandoned;
+    };
+    const Pinned pinned[] = {
+        {false, 40, 0x12611f5260311b5aull, 0x1.d24e56041893cp+12,
+         0x1.a2e4bc6a7efa1p+12, 0x1.a2e4bc6a7ef91p+12, 980, 35019, 36079,
+         36000, 37749, 1749, 4, 142, 7031, 80, 1},
+        {true, 8, 0xfd37766be65fd398ull, 0x1.3669e04189382p+14,
+         0x1.1f9dc5a1cacp+14, 0x1.1f9dc5a1cac1p+14, 1087, 33473, 34609,
+         34560, 36230, 1670, 25, 24, 5635, 49, 0},
+    };
+    for (const Pinned& p : pinned) {
+        SCOPED_TRACE(p.mesh ? "mesh 4000" : "random 900");
+        PlacementArea area;
+        Netlist base(lib28());
+        if (p.mesh) {
+            base = generate_mesh(lib28(), 4000, 3, 4);
+            area = make_placement_area(base, *find_node("28nm"), 0.65);
+            analytic_place(base, area);
+            legalize(base, area);
+        } else {
+            base = placed_design(37, 900, &area);
+        }
+        ASSERT_FALSE(base.primary_inputs().empty());
+        ASSERT_FALSE(base.primary_outputs().empty());
+        for (const int workers : {1, 4}) {
+            SCOPED_TRACE("workers " + std::to_string(workers));
+            Netlist nl = base;
+            const SaPlaceResult r =
+                sa_refine(nl, area, sa_opts(workers, p.moves_per_cell));
+            std::ostringstream placement;
+            write_placement(placement, nl);
+            EXPECT_EQ(hash_name(placement.str()), p.placement_hash);
+            EXPECT_EQ(r.initial_hpwl_um, p.initial);
+            EXPECT_EQ(r.final_hpwl_um, p.final_);
+            EXPECT_EQ(r.accumulated_hpwl_um, p.accumulated);
+            EXPECT_EQ(r.accepted_moves, p.accepted);
+            EXPECT_EQ(r.rejected_moves, p.rejected);
+            EXPECT_EQ(r.total_moves, p.total);
+            EXPECT_EQ(r.drawn_moves, p.drawn);
+            EXPECT_EQ(r.attempted_draws, p.attempted);
+            EXPECT_EQ(r.degenerate_draws, p.degenerate);
+            EXPECT_EQ(r.regions, p.regions);
+            EXPECT_EQ(r.rounds, p.rounds);
+            EXPECT_EQ(r.local_defers, p.local_defers);
+            EXPECT_EQ(r.commit_aborts, p.aborts);
+            EXPECT_EQ(r.abandoned_moves, p.abandoned);
+        }
+    }
+}
+
+/// Net boxes recomputed from the netlist alone: each net's distinct
+/// (placed, if asked) instance pins plus its pads, with the same HPWL
+/// formula as the cache.
+struct ScratchBoxes {
+    const Netlist& nl;
+    NetBBoxOptions opts;
+    std::vector<std::vector<Point>> pads;
+
+    ScratchBoxes(const Netlist& n, const PlacementArea& area,
+                 const NetBBoxOptions& o)
+        : nl(n), opts(o), pads(n.num_nets()) {
+        if (!opts.with_pads) return;
+        std::size_t k = 0;
+        for (const NetId pi : nl.primary_inputs()) {
+            pads[pi].push_back(input_pad_position(
+                area.die, k++, nl.primary_inputs().size()));
+        }
+        k = 0;
+        for (const auto& po : nl.primary_outputs()) {
+            pads[po.second].push_back(output_pad_position(
+                area.die, k++, nl.primary_outputs().size()));
+        }
+    }
+
+    double hpwl_um(NetId n) const {
+        std::set<InstId> insts;
+        const auto add = [&](InstId i) {
+            if (!opts.placed_only || nl.instance(i).placed) insts.insert(i);
+        };
+        if (nl.net(n).driver_kind == DriverKind::Instance) {
+            add(nl.net(n).driver_inst);
+        }
+        for (const SinkRef& s : nl.sinks(n)) add(s.inst());
+        std::vector<Point> pts(pads[n]);
+        for (const InstId i : insts) pts.push_back(nl.instance(i).position);
+        if (pts.size() < 2) return 0;
+        std::int64_t minx = pts[0].x, maxx = pts[0].x;
+        std::int64_t miny = pts[0].y, maxy = pts[0].y;
+        for (const Point& p : pts) {
+            minx = std::min(minx, p.x);
+            maxx = std::max(maxx, p.x);
+            miny = std::min(miny, p.y);
+            maxy = std::max(maxy, p.y);
+        }
+        return static_cast<double>((maxx - minx) + (maxy - miny)) * 1e-3;
+    }
+};
+
+TEST(PlaceParallel, NetBBoxCacheQueriesMatchBoxesFromScratch) {
+    // The flow's configuration (pads, every instance) and congestion's
+    // (placed_only, no pads, here with every 7th instance unplaced).
+    NetBBoxOptions congestion;
+    congestion.with_pads = false;
+    congestion.placed_only = true;
+    for (const NetBBoxOptions& opts : {NetBBoxOptions{}, congestion}) {
+        SCOPED_TRACE(opts.with_pads ? "with pads" : "placed only, no pads");
+        PlacementArea area;
+        Netlist nl = placed_design(38, 600, &area);
+        if (opts.placed_only) {
+            for (InstId i = 0; i < nl.num_instances(); i += 7) {
+                nl.instance(i).placed = false;
+            }
+        }
+        const ScratchBoxes scratch(nl, area, opts);
+        NetBBoxCache cache(nl, area, opts);
+        Rng rng(41);
+        for (int k = 0; k < 2000; ++k) {
+            const InstId a = static_cast<InstId>(rng.pick_index(nl.num_instances()));
+            const InstId b = static_cast<InstId>(rng.pick_index(nl.num_instances()));
+            if (a == b) continue;
+            const Point pa = nl.instance(a).position;
+            const Point pb = nl.instance(b).position;
+            ASSERT_EQ(cache.position(a), pa);
+            ASSERT_EQ(cache.position(b), pb);
+            const auto na = cache.nets_of(a);
+            const auto nb = cache.nets_of(b);
+            const auto shared = [](std::span<const NetId> s, NetId n) {
+                return std::binary_search(s.begin(), s.end(), n);
+            };
+            std::vector<double> before(nl.num_nets());
+            for (const auto nets : {na, nb}) {
+                for (const NetId n : nets) {
+                    before[n] = scratch.hpwl_um(n);
+                    ASSERT_EQ(cache.net_hpwl_um(n), before[n]) << "net " << n;
+                }
+            }
+            // Recompute with the swap applied to the netlist, in the
+            // cache's summation order: a's own nets, then b's.
+            std::swap(nl.instance(a).position, nl.instance(b).position);
+            double delta = 0;
+            for (const auto& [mine, other, moved, to] :
+                 {std::tuple{na, nb, a, pb}, std::tuple{nb, na, b, pa}}) {
+                for (const NetId n : mine) {
+                    if (shared(other, n)) continue;
+                    const double after = scratch.hpwl_um(n);
+                    ASSERT_EQ(cache.hpwl_if_moved_um(n, moved, to), after)
+                        << "net " << n;
+                    delta += after - before[n];
+                }
+            }
+            ASSERT_EQ(cache.swap_delta_um(a, b), delta);
+            cache.apply_swap(a, pa, b, pb);
+        }
+        EXPECT_GT(cache.rescans(), 0u);
+
+        // After the stream of swaps, the cache equals one built afresh.
+        const NetBBoxCache fresh(nl, area, opts);
+        for (NetId n = 0; n < nl.num_nets(); ++n) {
+            ASSERT_EQ(cache.degree(n), fresh.degree(n)) << "net " << n;
+            ASSERT_EQ(cache.bbox(n), fresh.bbox(n)) << "net " << n;
+            ASSERT_EQ(cache.net_hpwl_um(n), fresh.net_hpwl_um(n)) << "net " << n;
+            ASSERT_EQ(cache.net_hpwl_um(n), scratch.hpwl_um(n)) << "net " << n;
+        }
+        for (InstId i = 0; i < nl.num_instances(); ++i) {
+            ASSERT_EQ(cache.position(i), fresh.position(i)) << "instance " << i;
+        }
+    }
+}
+
+TEST(PlaceParallel, SaRefineRejectsNegativeMovesPerCell) {
+    // The move budget is moves_per_cell * cells in std::size_t: -1 would
+    // wrap to ~2^64 slots and run effectively forever.
+    PlacementArea area;
+    Netlist nl = placed_design(39, 100, &area);
+    const Netlist before = nl;
+    try {
+        sa_refine(nl, area, sa_opts(1, -1));
+        FAIL() << "sa_refine accepted moves_per_cell = -1";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("moves_per_cell"),
+                  std::string::npos)
+            << e.what();
+    }
+    for (InstId i = 0; i < nl.num_instances(); ++i) {
+        ASSERT_EQ(nl.instance(i).position, before.instance(i).position);
+    }
+    EXPECT_NO_THROW(sa_refine(nl, area, sa_opts(1, 0)));
+}
+
 TEST(PlaceParallel, LegalizerOverCapacityReportsFailure) {
     GeneratorConfig cfg;
     cfg.num_gates = 200;
@@ -274,6 +484,8 @@ TEST(PlaceParallel, FlowStagesTracePlacementDetail) {
     EXPECT_NE(entry_of("sa_refine").find_note("moves_per_round"), nullptr);
     EXPECT_EQ(entry_of("sa_refine").note_int("workers"), 2);
     EXPECT_NE(entry_of("sa_refine").find_note("hpwl_delta"), nullptr);
+    EXPECT_NE(entry_of("sa_refine").find_note("speculate_ms"), nullptr);
+    EXPECT_NE(entry_of("sa_refine").find_note("serial_ms"), nullptr);
     const std::string json = stage_trace_json(ctx.trace).dump();
     EXPECT_NE(json.find("\"sa_refine\""), std::string::npos);
 }
