@@ -1,18 +1,22 @@
 /// Microbenchmarks of the JanusEDA hot kernels (google-benchmark):
 /// AIG construction + rewriting, cut enumeration and cut-function
-/// evaluation, Espresso, global placement, SA detailed placement, maze vs
-/// line-search routing, bit-parallel fault simulation, BDD/BBDD builds,
-/// SOR grid solve, and the .jnl reader. These are the per-operation costs
-/// behind the experiment-level numbers in E1/E3/E5/E9 and the load time
-/// every text-fed flow pays first.
+/// evaluation, Espresso, global placement, SA detailed placement, full STA
+/// and a warm server session's resize ECO, maze vs line-search routing,
+/// bit-parallel fault simulation, BDD/BBDD builds, SOR grid solve, and the
+/// .jnl reader. These are the per-operation costs behind the
+/// experiment-level numbers in E1/E3/E5/E9, the interactive path of the
+/// flow server and the load time every text-fed flow pays first.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "janus/dft/fault_sim.hpp"
+#include "janus/flow/flow_engine.hpp"
 #include "janus/logic/aig.hpp"
 #include "janus/logic/aig_rewrite.hpp"
 #include "janus/logic/bbdd.hpp"
@@ -28,6 +32,8 @@
 #include "janus/power/power_grid.hpp"
 #include "janus/route/line_search.hpp"
 #include "janus/route/maze_router.hpp"
+#include "janus/server/session.hpp"
+#include "janus/timing/timing_graph.hpp"
 #include "janus/util/rng.hpp"
 
 namespace {
@@ -156,6 +162,64 @@ void BM_SaRefine(benchmark::State& state) {
     state.SetItemsProcessed(moves);
 }
 BENCHMARK(BM_SaRefine)->Unit(benchmark::kMillisecond);
+
+void BM_StaAnalyze(benchmark::State& state) {
+    // Full STA of the flat_mesh shape: a pipelined 45k mesh, placed and
+    // legalized once; the graph is built once and each iteration is one
+    // analyze() on 1 worker (every gate delay plus both sweeps).
+    Netlist nl = generate_mesh(lib28(), 45000, 1, 4);
+    const TechnologyNode node = *find_node("28nm");
+    const PlacementArea area = make_placement_area(nl, node, 0.65);
+    analytic_place(nl, area);
+    legalize(nl, area);
+    StaOptions opts;
+    opts.wire = WireModel::for_node(node);
+    TimingGraph tg(nl, opts);
+    for (auto _ : state) {
+        tg.analyze();
+        benchmark::DoNotOptimize(tg.critical_delay_ps());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(nl.num_instances()));
+}
+BENCHMARK(BM_StaAnalyze)->Unit(benchmark::kMillisecond);
+
+void BM_SessionEco(benchmark::State& state) {
+    // The eco_mixed request in process: a 20k-mesh session placed through
+    // legalize and timed once (warm); each iteration applies one ECO of 16
+    // resizes up and one that takes the same 16 back down.
+    const TechnologyNode node = *find_node("28nm");
+    server::Session session("bench", generate_mesh(lib28(), 20000, 3, 4), node,
+                            FlowParams{});
+    session.run_to(FlowEngine{}, "legalize");
+    session.timing();
+    const Netlist& nl = session.context().netlist;
+    const CellLibrary& lib = nl.library();
+    std::vector<server::EcoEdit> up, down;
+    Rng rng(11);
+    while (up.size() < 16) {
+        const auto i = static_cast<InstId>(rng.next_below(nl.num_instances()));
+        const CellType& cell = nl.type_of(i);
+        if (is_sequential(cell.function)) continue;
+        const std::string name(nl.instance_name(i));
+        if (std::any_of(up.begin(), up.end(),
+                        [&](const server::EcoEdit& e) { return e.instance == name; })) {
+            continue;
+        }
+        for (const std::size_t v : lib.variants(cell.function)) {
+            if (lib.cell(v).drive <= cell.drive) continue;
+            up.push_back({server::EcoEdit::Kind::Resize, name, lib.cell(v).name, -1, ""});
+            down.push_back({server::EcoEdit::Kind::Resize, name, cell.name, -1, ""});
+            break;
+        }
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(session.apply_eco(up).evals);
+        benchmark::DoNotOptimize(session.apply_eco(down).evals);
+    }
+    state.SetItemsProcessed(state.iterations() * 2);  // ECOs
+}
+BENCHMARK(BM_SessionEco)->Unit(benchmark::kMicrosecond);
 
 void BM_MazeRoute(benchmark::State& state) {
     GridGraph grid(64, 64, 8.0);

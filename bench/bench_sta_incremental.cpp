@@ -14,7 +14,9 @@
 /// analysis at 1/2/4/8 workers on a design with a level wider than
 /// 2 x TimingGraph::kParallelGrain (asserted, so the multi-slot path runs),
 /// and resize + update() answers against a fresh analysis (nonzero exit on
-/// a mismatch; no BENCH file update).
+/// a mismatch; no BENCH file update). The full mode exits 1 when one of its
+/// deterministic checks fails (eval ratio, worker identity, sizing QoR);
+/// its sizing speedup line is printed only.
 
 #include <chrono>
 #include <cstdio>
@@ -297,11 +299,14 @@ int main(int argc, char** argv) {
 
     std::printf("\npaper claim: 1M-instance/day closure loops (E5) need timing\n"
                 "queries that cost the cone they touch, not the design\n\n");
-    bench::shape_check("single-cell resize >= 10x cheaper than full STA @ 60k",
-                       ratio_60k >= 10.0);
-    bench::shape_check("parallel sweeps bit-identical at 2/4/8 workers",
-                       all_identical);
-    bench::shape_check("incremental sizing >= 2x faster with identical QoR",
-                       qor_identical && sizing_speedup >= 2.0);
-    return 0;
+    bool ok = bench::shape_check(
+        "single-cell resize >= 10x cheaper than full STA @ 60k", ratio_60k >= 10.0);
+    ok &= bench::shape_check("parallel sweeps bit-identical at 2/4/8 workers",
+                             all_identical);
+    ok &= bench::shape_check("incremental sizing QoR identical to the legacy loop",
+                             qor_identical);
+    // Wall time depends on the machine and its load: printed, not gated.
+    bench::shape_check("incremental sizing >= 2x faster than the legacy loop",
+                       sizing_speedup >= 2.0);
+    return ok ? 0 : 1;
 }

@@ -1,12 +1,12 @@
 #pragma once
 /// \file net_bbox.hpp
 /// Incremental per-net bounding-box cache shared by detailed placement
-/// (sa_place.cpp), congestion estimation (congestion.cpp) and the server
-/// session's HPWL. For every net it tracks the pin bounding box plus the
-/// number of pins sitting exactly on each of the four boundaries, so
-/// committing a swap is O(1) per net unless the pin solely held a boundary
-/// and moves off it — only then is the net rescanned. A speculative query
-/// re-boxes the net from its pins instead (docs/PLACE.md).
+/// (sa_place.cpp) and congestion estimation (congestion.cpp). For every
+/// net it tracks the pin bounding box plus the number of pins sitting
+/// exactly on each of the four boundaries, so committing a swap is O(1)
+/// per net unless the pin solely held a boundary and moves off it — only
+/// then is the net rescanned. A speculative query re-boxes the net from
+/// its pins instead (docs/PLACE.md).
 ///
 /// Layout: flat arrays only. Net→pins and instance→nets are CSR (one
 /// offsets array plus one flat data array), each net's box carries its

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "janus/place/analytic_place.hpp"
 #include "janus/timing/delay_model.hpp"
 
 namespace janus::server {
@@ -28,7 +29,7 @@ const FlowResult& Session::run_to(const FlowEngine& engine,
     // every cell, sizing retypes in place without an epoch bump), so every
     // warm cache is invalid regardless of what the epoch says.
     graph_.reset();
-    bbox_valid_ = false;
+    hpwl_um_.reset();
     names_valid_ = false;
     return ctx_.result;
 }
@@ -46,15 +47,14 @@ TimingGraph& Session::warm_graph(bool* rebuilt) {
 
 double Session::cached_hpwl() {
     if (!ctx_.placed) return 0.0;
+    // In-place ECOs (resize/swap) never move a pin, so the total of the
+    // epoch stays exact; a rewire bumps the epoch and re-sums once.
     const std::uint64_t epoch = ctx_.netlist.mutation_epoch();
-    if (!bbox_valid_ || !bbox_ || bbox_epoch_ != epoch) {
-        bbox_ = std::make_unique<NetBBoxCache>(ctx_.netlist, ctx_.area);
-        bbox_epoch_ = epoch;
-        bbox_valid_ = true;
+    if (!hpwl_um_ || hpwl_epoch_ != epoch) {
+        hpwl_um_ = total_hpwl_um(ctx_.netlist, ctx_.area);
+        hpwl_epoch_ = epoch;
     }
-    // In-place ECOs (resize/swap) never move a pin, so the cached exact
-    // boxes stay authoritative; the sum itself is one pass over net ids.
-    return bbox_->total_hpwl_um();
+    return *hpwl_um_;
 }
 
 void Session::refresh_name_maps() {

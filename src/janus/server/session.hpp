@@ -7,8 +7,10 @@
 ///  - a TimingGraph built once per netlist structure and kept analyzed, so
 ///    a cell resize/swap is answered by TimingGraph::resize() + update()
 ///    — O(affected cone) instead of O(design);
-///  - a NetBBoxCache over the current placement, so HPWL in ECO responses
-///    is a cached O(nets-summed-once) read, not a rescan per query.
+///  - the placement's HPWL, one double summed once per netlist epoch by
+///    total_hpwl_um(): within an epoch no pin moves (resizes and swaps
+///    keep every position), so a reply reads it instead of re-summing the
+///    design.
 ///
 /// Edits that change netlist structure (rewires) bump
 /// Netlist::mutation_epoch(); the session detects staleness and falls back
@@ -25,13 +27,13 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "janus/flow/flow_engine.hpp"
-#include "janus/place/net_bbox.hpp"
 #include "janus/timing/timing_graph.hpp"
 
 namespace janus::server {
@@ -106,9 +108,8 @@ class Session {
     // Warm caches (lazily built, epoch-checked).
     std::unique_ptr<TimingGraph> graph_;
     std::uint64_t graph_epoch_ = 0;
-    std::unique_ptr<NetBBoxCache> bbox_;
-    std::uint64_t bbox_epoch_ = 0;
-    bool bbox_valid_ = false;
+    std::optional<double> hpwl_um_;
+    std::uint64_t hpwl_epoch_ = 0;
 
     // Name lookup (rebuilt when the netlist structure changes). Keys are
     // NameIds straight out of Instance::name / Net::name (net keys may be

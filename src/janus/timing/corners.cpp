@@ -19,12 +19,12 @@ std::vector<TimingCorner> standard_corners() {
 MultiCornerReport run_multi_corner(const Netlist& nl, const StaOptions& base,
                                    const std::vector<TimingCorner>& corners) {
     MultiCornerReport out;
-    // A uniform derate k scales every path delay by k; one nominal STA run
-    // provides all arrivals, and each corner rescales them.
-    const TimingReport nominal = run_sta(nl, base);
-    // The same endpoint set run_sta summarizes over, so per-corner WNS/TNS
-    // are real endpoint slacks, not a critical-delay proxy.
-    const std::vector<TimingEndpoint> endpoints = timing_endpoints(nl, base);
+    // A uniform derate k scales every path delay by k; one nominal analysis
+    // provides all arrivals, and each corner rescales the endpoint ones.
+    TimingGraph tg(nl, base);
+    tg.analyze();
+    const TimingReport nominal = tg.report();
+    const std::vector<double>& arrival = tg.arrivals();
 
     const bool has_flops = !nl.sequential_instances().empty();
     out.worst_setup_slack_ps = std::numeric_limits<double>::infinity();
@@ -32,19 +32,17 @@ MultiCornerReport run_multi_corner(const Netlist& nl, const StaOptions& base,
     for (const TimingCorner& c : corners) {
         TimingReport r = nominal;
         const double k = c.delay_derate;
-        for (double& a : r.arrival) a *= k;
-        // Required times (period - setup) are corner-invariant constraints
-        // and stay as computed nominally.
         r.critical_delay_ps = nominal.critical_delay_ps * k;
         r.fmax_ghz = r.critical_delay_ps > 0 ? 1000.0 / r.critical_delay_ps : 0;
         // Setup: re-evaluate every endpoint against its derated arrival.
-        // slack(e) = required(e) - k * arrival(e); constraints (period,
-        // period - setup) do not derate.
+        // slack(e) = required(e) - arrival(e) * k over the endpoint set the
+        // nominal summary uses; constraints (period, period - setup) do not
+        // derate.
         double worst = std::numeric_limits<double>::infinity();
         NetId worst_net = kNoNet;
         r.tns_ps = 0.0;
-        for (const TimingEndpoint& e : endpoints) {
-            const double s = e.required_ps - r.arrival[e.net];
+        for (const TimingEndpoint& e : tg.endpoints()) {
+            const double s = e.required_ps - arrival[e.net] * k;
             if (s < 0) r.tns_ps += s;
             if (s < worst) {
                 worst = s;

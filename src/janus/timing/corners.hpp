@@ -31,9 +31,10 @@ struct MultiCornerReport {
     }
 };
 
-/// Runs STA at every corner. Derates are applied by scaling the clock
-/// constraint equivalently (delay x k vs period / k), which keeps the
-/// per-corner reports comparable.
+/// Times every corner from one nominal analysis: a corner's derate k
+/// scales each endpoint arrival (arrival x k), while the constraints
+/// (period, setup, hold) stay as they are, so the per-corner reports
+/// stay comparable.
 MultiCornerReport run_multi_corner(const Netlist& nl, const StaOptions& base,
                                    const std::vector<TimingCorner>& corners =
                                        standard_corners());

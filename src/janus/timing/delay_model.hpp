@@ -22,15 +22,19 @@ struct WireModel {
     static WireModel for_node(const TechnologyNode& node);
 };
 
-/// Estimated routed length of a net in um: HPWL when all pins are placed,
-/// wireload estimate otherwise.
+/// Estimated routed length of a net in um: the HPWL of its pins (the
+/// driver instance plus the sinks) when there are at least two and all are
+/// placed, the wireload estimate otherwise. One walk over the pins, boxed
+/// in place.
 double estimate_net_length_um(const Netlist& nl, NetId net, const WireModel& wm);
 
-/// Total capacitive load on a net (sink pins + wire).
+/// Total capacitive load on a net (wire + sink pins).
 double net_load_ff(const Netlist& nl, NetId net, const WireModel& wm);
 
 /// Delay of instance `inst` driving its output net, in ps: gate plus a
-/// lumped wire term 0.5 * R_wire * C_wire.
+/// lumped wire term 0.5 * R_wire * C_wire. One length walk of the output
+/// net feeds both the load and the wire term; the result equals the gate
+/// delay built from estimate_net_length_um() and net_load_ff() bit for bit.
 double instance_delay_ps(const Netlist& nl, InstId inst, const WireModel& wm);
 
 }  // namespace janus

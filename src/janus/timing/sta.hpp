@@ -24,12 +24,10 @@ struct StaOptions {
     int sta_workers = 1;
 };
 
+/// The summary of one analysis. Per-net arrivals, requireds and slacks are
+/// not copied here: they belong to the TimingGraph that produced the report
+/// (TimingGraph::arrivals() / requireds() / slacks()).
 struct TimingReport {
-    /// Arrival / required / slack per net (indexed by NetId), in ps.
-    std::vector<double> arrival;
-    std::vector<double> required;
-    std::vector<double> slack;
-
     double wns_ps = 0.0;  ///< worst setup slack (positive = margin)
     double tns_ps = 0.0;  ///< total negative setup slack (sum over endpoints)
     /// Worst hold slack at flop D pins: min arrival - hold time. Negative

@@ -352,9 +352,6 @@ TimingReport TimingGraph::report() const {
         throw std::logic_error("TimingGraph::report: analyze() must run first");
     }
     TimingReport r;
-    r.arrival = arrival_;
-    r.required = required_;
-    r.slack = slack_;
 
     // Setup summary over endpoints, in canonical endpoint order (the
     // floating-point TNS sum depends on it).

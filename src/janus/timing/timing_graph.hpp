@@ -22,9 +22,11 @@
 ///    O(cone) instead of O(design) — the backbone of the timing-driven
 ///    sizing loop (sizing.cpp).
 ///
-/// report() produces a TimingReport byte-identical to the historical
-/// single-shot run_sta() implementation; run_sta() is now a thin wrapper
-/// over this class.
+/// The graph is the one owner of per-net timing: arrivals(), requireds()
+/// and slacks() are its arrays. report() assembles only the summary (WNS,
+/// TNS, hold, critical delay, fmax, worst endpoint, critical path), whose
+/// every value is byte-identical to the historical single-shot run_sta()
+/// implementation; run_sta() is now a thin wrapper over this class.
 
 #include <cstddef>
 #include <cstdint>
@@ -104,6 +106,7 @@ class TimingGraph {
     TimingUpdateStats update();
 
     // --- queries ----------------------------------------------------------
+    /// Per-net arrival / required / slack (indexed by NetId), in ps.
     const std::vector<double>& arrivals() const { return arrival_; }
     const std::vector<double>& requireds() const { return required_; }
     const std::vector<double>& slacks() const { return slack_; }
@@ -115,9 +118,10 @@ class TimingGraph {
     /// Longest endpoint arrival — the critical delay — via one O(endpoints)
     /// scan; cheap enough to call once per sizing pass.
     double critical_delay_ps() const;
-    /// Assembles the full TimingReport (summary metrics, hold analysis,
-    /// critical path) from the cached arrays. Byte-identical to what the
-    /// historical run_sta() returned.
+    /// Assembles the summary TimingReport (setup and hold metrics, worst
+    /// endpoint, critical path) from the cached arrays: O(endpoints + flops
+    /// + path), no per-net array is copied. Byte-identical to the summary
+    /// the historical run_sta() returned.
     TimingReport report() const;
 
   private:

@@ -23,23 +23,6 @@ Rect bounding_box(const Rect& a, const Rect& b) {
                 std::max(a.hi.x, b.hi.x), std::max(a.hi.y, b.hi.y)};
 }
 
-Rect bounding_box(const std::vector<Point>& pts) {
-    if (pts.empty()) return Rect{};
-    Rect r{pts.front(), pts.front()};
-    for (const Point& p : pts) {
-        r.lo.x = std::min(r.lo.x, p.x);
-        r.lo.y = std::min(r.lo.y, p.y);
-        r.hi.x = std::max(r.hi.x, p.x);
-        r.hi.y = std::max(r.hi.y, p.y);
-    }
-    return r;
-}
-
-std::int64_t hpwl(const std::vector<Point>& pts) {
-    const Rect bb = bounding_box(pts);
-    return bb.width() + bb.height();
-}
-
 std::int64_t rect_gap(const Rect& a, const Rect& b) {
     if (a.empty() || b.empty()) return std::numeric_limits<std::int64_t>::max();
     const std::int64_t gx =

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace janus {
 
@@ -61,13 +60,6 @@ Rect intersection(const Rect& a, const Rect& b);
 
 /// Smallest rectangle containing both inputs (empty inputs are ignored).
 Rect bounding_box(const Rect& a, const Rect& b);
-
-/// Smallest rectangle containing all points; empty for an empty input.
-Rect bounding_box(const std::vector<Point>& pts);
-
-/// Half-perimeter wirelength of the bounding box of `pts` (the standard
-/// HPWL net-length estimate used by placers).
-std::int64_t hpwl(const std::vector<Point>& pts);
 
 /// Minimum spacing between two non-overlapping rectangles measured as the
 /// L-infinity gap; zero when they touch or overlap.

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -20,6 +21,8 @@
 #include "janus/flow/report.hpp"
 #include "janus/netlist/generator.hpp"
 #include "janus/netlist/io.hpp"
+#include "janus/place/analytic_place.hpp"
+#include "janus/place/net_bbox.hpp"
 #include "janus/server/flow_server.hpp"
 #include "janus/server/protocol.hpp"
 #include "janus/server/scheduler.hpp"
@@ -397,11 +400,15 @@ TEST(FlowServerTest, SessionRegistryEvictsLeastRecentlyUsed) {
 
 /// Runs the reference side of the ECO contract without the server: the
 /// same deterministic flow to the same stage, the same resize applied to
-/// the netlist, then a cold full TimingGraph analyze.
+/// the netlist, then a cold full TimingGraph analyze. The placement's HPWL
+/// is summed both ways the library can: total_hpwl_um() and a fresh
+/// NetBBoxCache.
 struct ColdRerun {
     std::string instance;
     std::string cell;
     std::string report;
+    double hpwl_um = 0;
+    double bbox_hpwl_um = 0;
 };
 
 ColdRerun cold_rerun(const std::string& netlist_text, const FlowParams& params,
@@ -411,9 +418,11 @@ ColdRerun cold_rerun(const std::string& netlist_text, const FlowParams& params,
     FlowContext ctx(netlist_from_string(netlist_text, lib28()), node, p);
     engine.run_to(ctx, stage);
 
+    ColdRerun out;
+    out.hpwl_um = total_hpwl_um(ctx.netlist, ctx.area);
+    out.bbox_hpwl_um = NetBBoxCache(ctx.netlist, ctx.area).total_hpwl_um();
     StaOptions sta;
     sta.wire = WireModel::for_node(node);
-    ColdRerun out;
     {
         // Choose the edit: the first critical-path instance with a larger
         // drive variant.
@@ -485,6 +494,84 @@ TEST(FlowServerTest, EcoResizeMatchesColdRerunByteForByte) {
     const std::int64_t full = resp.get_int("full_evals");
     EXPECT_GT(evals, 0);
     EXPECT_LT(evals, full);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+JsonValue eco_request(const std::string& session, JsonValue edit) {
+    JsonValue eco = JsonValue::object();
+    eco.set("cmd", "eco");
+    eco.set("session", session);
+    JsonValue edits = JsonValue::array();
+    edits.push(std::move(edit));
+    eco.set("edits", std::move(edits));
+    return eco;
+}
+
+TEST(FlowServerTest, SessionHpwlFollowsThePlacementNotTheRequest) {
+    const TechnologyNode node = *find_node("28nm");
+    const std::string text = mesh_text(2000, 17, 2);
+    FlowParams params;
+    params.placer_iterations = 60;
+    const ColdRerun expected = cold_rerun(text, params, node, "legalize");
+    ASSERT_GT(expected.hpwl_um, 0.0);
+
+    FlowServer server(node, small_server_opts());
+    JsonValue submit = JsonValue::object();
+    submit.set("cmd", "submit_design");
+    submit.set("session", "h");
+    submit.set("netlist", text);
+    JsonValue jparams = JsonValue::object();
+    jparams.set("placer_iterations", 60);
+    submit.set("params", std::move(jparams));
+    request_ok(server, submit.dump());
+    const std::string timing_line = "{\"cmd\":\"timing\",\"session\":\"h\"}";
+
+    // Nothing is placed yet, so there is no wirelength.
+    EXPECT_EQ(request_ok(server, timing_line).get_real("hpwl_um"), 0.0);
+
+    // After placement: the same bits as both ways of summing it cold.
+    request_ok(server,
+               "{\"cmd\":\"run_to\",\"session\":\"h\",\"stage\":\"legalize\"}");
+    const double placed = request_ok(server, timing_line).get_real("hpwl_um");
+    EXPECT_TRUE(same_bits(placed, expected.hpwl_um))
+        << placed << " vs " << expected.hpwl_um;
+    EXPECT_TRUE(same_bits(placed, expected.bbox_hpwl_um))
+        << placed << " vs " << expected.bbox_hpwl_um;
+
+    // An in-place resize moves no pin: the total is unchanged.
+    JsonValue resize = JsonValue::object();
+    resize.set("kind", "resize");
+    resize.set("instance", expected.instance);
+    resize.set("cell", expected.cell);
+    const JsonValue resized =
+        request_ok(server, eco_request("h", std::move(resize)).dump());
+    EXPECT_TRUE(resized.at("incremental").as_bool());
+    EXPECT_TRUE(same_bits(resized.get_real("hpwl_um"), placed));
+
+    // A rewire bumps the netlist epoch: the reply sums the new connectivity.
+    // The resized instance's first pin moves to a primary input, which
+    // cannot close a loop and puts a far pad on a new net.
+    const auto session = server.sessions().find("h");
+    ASSERT_NE(session, nullptr);
+    const Netlist& nl = session->context().netlist;
+    const std::uint64_t epoch = nl.mutation_epoch();
+    JsonValue rewire = JsonValue::object();
+    rewire.set("kind", "rewire");
+    rewire.set("instance", expected.instance);
+    rewire.set("pin", 0);
+    rewire.set("net", std::string(nl.net_name(nl.primary_inputs().front())));
+    const JsonValue rewired =
+        request_ok(server, eco_request("h", std::move(rewire)).dump());
+    EXPECT_FALSE(rewired.at("incremental").as_bool());
+    EXPECT_NE(nl.mutation_epoch(), epoch);
+    const double after = rewired.get_real("hpwl_um");
+    const PlacementArea& area = session->context().area;
+    EXPECT_TRUE(same_bits(after, total_hpwl_um(nl, area)));
+    EXPECT_TRUE(same_bits(after, NetBBoxCache(nl, area).total_hpwl_um()));
+    EXPECT_NE(after, placed);
+    // A timing query in the new epoch reads the same total.
+    EXPECT_TRUE(same_bits(request_ok(server, timing_line).get_real("hpwl_um"), after));
 }
 
 TEST(FlowServerTest, EcoValidationIsAtomicAndRewireFallsBack) {

@@ -32,19 +32,30 @@ std::shared_ptr<const CellLibrary> lib28() {
     return lib;
 }
 
-// Verbatim copy of the pre-TimingGraph run_sta() implementation. The
-// wrapper (and the incremental engine behind it) must reproduce every
-// array and scalar of this reference bit for bit.
-TimingReport reference_sta(const Netlist& nl, const StaOptions& opts = {}) {
-    TimingReport r;
-    const std::size_t nn = nl.num_nets();
-    r.arrival.assign(nn, 0.0);
-    r.required.assign(nn, std::numeric_limits<double>::infinity());
-    r.slack.assign(nn, 0.0);
+// The pre-TimingGraph run_sta() returned its per-net arrays inside the
+// report; the reference keeps them beside the summary.
+struct ReferenceTiming {
+    std::vector<double> arrival;
+    std::vector<double> required;
+    std::vector<double> slack;
+    TimingReport summary;
+};
 
-    for (const NetId pi : nl.primary_inputs()) r.arrival[pi] = 0.0;
+// Verbatim copy of the pre-TimingGraph run_sta() implementation, apart
+// from where the arrays live. The engine must reproduce every array
+// (TimingGraph::arrivals() / requireds() / slacks()) and every summary
+// scalar (run_sta(), TimingGraph::report()) of this reference bit for bit.
+ReferenceTiming reference_sta(const Netlist& nl, const StaOptions& opts = {}) {
+    ReferenceTiming ref;
+    TimingReport& r = ref.summary;
+    const std::size_t nn = nl.num_nets();
+    ref.arrival.assign(nn, 0.0);
+    ref.required.assign(nn, std::numeric_limits<double>::infinity());
+    ref.slack.assign(nn, 0.0);
+
+    for (const NetId pi : nl.primary_inputs()) ref.arrival[pi] = 0.0;
     for (const InstId f : nl.sequential_instances()) {
-        r.arrival[nl.instance(f).output] = opts.clk_to_q_ps;
+        ref.arrival[nl.instance(f).output] = opts.clk_to_q_ps;
     }
 
     const auto& order = nl.topological_order();
@@ -56,13 +67,13 @@ TimingReport reference_sta(const Netlist& nl, const StaOptions& opts = {}) {
         const int arity = function_arity(nl.type_of(i).function);
         for (int p = 0; p < arity; ++p) {
             in_arrival = std::max(in_arrival,
-                                  r.arrival[inst.fanin[static_cast<std::size_t>(p)]]);
+                                  ref.arrival[inst.fanin[static_cast<std::size_t>(p)]]);
         }
-        r.arrival[inst.output] = in_arrival + gate_delay[i];
+        ref.arrival[inst.output] = in_arrival + gate_delay[i];
     }
 
     const auto constrain = [&](NetId net, double req) {
-        r.required[net] = std::min(r.required[net], req);
+        ref.required[net] = std::min(ref.required[net], req);
     };
     for (const auto& [name, net] : nl.primary_outputs()) {
         (void)name;
@@ -78,7 +89,7 @@ TimingReport reference_sta(const Netlist& nl, const StaOptions& opts = {}) {
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
         const Instance& inst = nl.instance(*it);
-        const double req_in = r.required[inst.output] - gate_delay[*it];
+        const double req_in = ref.required[inst.output] - gate_delay[*it];
         const int arity = function_arity(nl.type_of(*it).function);
         for (int p = 0; p < arity; ++p) {
             constrain(inst.fanin[static_cast<std::size_t>(p)], req_in);
@@ -89,20 +100,20 @@ TimingReport reference_sta(const Netlist& nl, const StaOptions& opts = {}) {
     double critical = 0.0;
     NetId worst_net = kNoNet;
     for (NetId n = 0; n < nn; ++n) {
-        if (std::isinf(r.required[n])) {
-            r.slack[n] = std::numeric_limits<double>::infinity();
+        if (std::isinf(ref.required[n])) {
+            ref.slack[n] = std::numeric_limits<double>::infinity();
             continue;
         }
-        r.slack[n] = r.required[n] - r.arrival[n];
+        ref.slack[n] = ref.required[n] - ref.arrival[n];
     }
     const auto endpoint_slack = [&](NetId net, double req) {
-        const double s = req - r.arrival[net];
+        const double s = req - ref.arrival[net];
         if (s < 0) r.tns_ps += s;
         if (s < worst) {
             worst = s;
             worst_net = net;
         }
-        critical = std::max(critical, r.arrival[net]);
+        critical = std::max(critical, ref.arrival[net]);
     };
     for (const auto& [name, net] : nl.primary_outputs()) {
         (void)name;
@@ -152,8 +163,8 @@ TimingReport reference_sta(const Netlist& nl, const StaOptions& opts = {}) {
     NetId cursor = kNoNet;
     double best_arr = -1.0;
     const auto consider = [&](NetId net) {
-        if (r.arrival[net] > best_arr) {
-            best_arr = r.arrival[net];
+        if (ref.arrival[net] > best_arr) {
+            best_arr = ref.arrival[net];
             cursor = net;
         }
     };
@@ -180,15 +191,15 @@ TimingReport reference_sta(const Netlist& nl, const StaOptions& opts = {}) {
         double arr = -1.0;
         for (int p = 0; p < arity; ++p) {
             const NetId f = inst.fanin[static_cast<std::size_t>(p)];
-            if (r.arrival[f] > arr) {
-                arr = r.arrival[f];
+            if (ref.arrival[f] > arr) {
+                arr = ref.arrival[f];
                 next = f;
             }
         }
         cursor = next;
     }
     std::reverse(r.critical_path.begin(), r.critical_path.end());
-    return r;
+    return ref;
 }
 
 // Bitwise equality for double arrays (inf-safe, -0 vs +0 sensitive).
@@ -201,10 +212,7 @@ void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& 
     }
 }
 
-void expect_reports_identical(const TimingReport& a, const TimingReport& b) {
-    expect_bits_equal(a.arrival, b.arrival, "arrival");
-    expect_bits_equal(a.required, b.required, "required");
-    expect_bits_equal(a.slack, b.slack, "slack");
+void expect_summaries_identical(const TimingReport& a, const TimingReport& b) {
     expect_bits_equal({a.wns_ps, a.tns_ps, a.hold_wns_ps, a.critical_delay_ps,
                        a.fmax_ghz},
                       {b.wns_ps, b.tns_ps, b.hold_wns_ps, b.critical_delay_ps,
@@ -213,6 +221,25 @@ void expect_reports_identical(const TimingReport& a, const TimingReport& b) {
     EXPECT_EQ(a.hold_violations, b.hold_violations);
     EXPECT_EQ(a.worst_endpoint, b.worst_endpoint);
     EXPECT_EQ(a.critical_path, b.critical_path);
+}
+
+// Every array of an analyzed graph and every scalar of its summary equal
+// the reference's.
+void expect_graph_matches_reference(const TimingGraph& tg,
+                                    const ReferenceTiming& ref) {
+    expect_bits_equal(tg.arrivals(), ref.arrival, "arrival");
+    expect_bits_equal(tg.requireds(), ref.required, "required");
+    expect_bits_equal(tg.slacks(), ref.slack, "slack");
+    expect_summaries_identical(tg.report(), ref.summary);
+}
+
+// run_sta()'s summary and a graph's arrays, both against the reference.
+void expect_matches_reference(const Netlist& nl, const StaOptions& opts) {
+    const ReferenceTiming ref = reference_sta(nl, opts);
+    expect_summaries_identical(run_sta(nl, opts), ref.summary);
+    TimingGraph tg(nl, opts);
+    tg.analyze();
+    expect_graph_matches_reference(tg, ref);
 }
 
 std::vector<Netlist> corpus() {
@@ -234,7 +261,7 @@ std::vector<Netlist> corpus() {
 TEST(TimingGraph, RunStaMatchesReferenceByteForByte) {
     for (const Netlist& nl : corpus()) {
         SCOPED_TRACE(nl.name());
-        expect_reports_identical(run_sta(nl), reference_sta(nl));
+        expect_matches_reference(nl, {});
     }
 }
 
@@ -246,7 +273,7 @@ TEST(TimingGraph, NonDefaultConstraintsStillMatchReference) {
     opts.hold_ps = 11.0;
     for (const Netlist& nl : corpus()) {
         SCOPED_TRACE(nl.name());
-        expect_reports_identical(run_sta(nl, opts), reference_sta(nl, opts));
+        expect_matches_reference(nl, opts);
     }
 }
 
@@ -279,7 +306,7 @@ TEST(TimingGraph, WorkerCountIsBitInvariant) {
         expect_bits_equal(serial.arrivals(), par.arrivals(), "arrival");
         expect_bits_equal(serial.requireds(), par.requireds(), "required");
         expect_bits_equal(serial.slacks(), par.slacks(), "slack");
-        expect_reports_identical(serial.report(), par.report());
+        expect_summaries_identical(serial.report(), par.report());
     }
 }
 
@@ -323,7 +350,7 @@ void run_resize_fuzz(std::size_t gates, std::uint64_t seed, int steps) {
         expect_bits_equal(fresh.arrivals(), tg.arrivals(), "arrival");
         expect_bits_equal(fresh.requireds(), tg.requireds(), "required");
         expect_bits_equal(fresh.slacks(), tg.slacks(), "slack");
-        expect_reports_identical(fresh.report(), tg.report());
+        expect_summaries_identical(fresh.report(), tg.report());
     }
 }
 
@@ -390,7 +417,7 @@ TEST(TimingGraph, StructuralMutationInvalidatesGraph) {
     // A rebuilt graph picks the new structure up fine.
     TimingGraph fresh(nl);
     fresh.analyze();
-    expect_reports_identical(fresh.report(), reference_sta(nl));
+    expect_graph_matches_reference(fresh, reference_sta(nl));
 }
 
 TEST(TimingGraph, InPlaceResizeDoesNotBumpEpoch) {
@@ -430,6 +457,8 @@ TEST(TimingGraph, CornerWnsTnsAreRealEndpointSlacks) {
     StaOptions base;
     base.clock_period_ps = 1.05 * run_sta(nl, base).critical_delay_ps;
     const TimingReport nominal = run_sta(nl, base);
+    TimingGraph tg(nl, base);
+    tg.analyze();
     const auto endpoints = timing_endpoints(nl, base);
     const MultiCornerReport mc = run_multi_corner(nl, base);
     ASSERT_EQ(mc.reports.size(), 3u);
@@ -439,7 +468,7 @@ TEST(TimingGraph, CornerWnsTnsAreRealEndpointSlacks) {
         double wns = std::numeric_limits<double>::infinity();
         double tns = 0.0;
         for (const TimingEndpoint& e : endpoints) {
-            const double s = e.required_ps - derates[c] * nominal.arrival[e.net];
+            const double s = e.required_ps - derates[c] * tg.arrivals()[e.net];
             if (s < 0) tns += s;
             wns = std::min(wns, s);
         }
@@ -461,7 +490,7 @@ TEST(TimingGraph, CornerWnsTnsAreRealEndpointSlacks) {
 SizingResult legacy_size_for_timing(Netlist& nl, const SizingOptions& opts) {
     SizingResult res;
     const CellLibrary& lib = nl.library();
-    TimingReport tr = reference_sta(nl, opts.sta);
+    TimingReport tr = reference_sta(nl, opts.sta).summary;
     res.wns_before_ps = tr.wns_ps;
     res.delay_before_ps = tr.critical_delay_ps;
     res.area_before_um2 = nl.total_area();
@@ -485,7 +514,7 @@ SizingResult legacy_size_for_timing(Netlist& nl, const SizingOptions& opts) {
             ++resized;
         }
         if (resized == 0) break;
-        const TimingReport after = reference_sta(nl, opts.sta);
+        const TimingReport after = reference_sta(nl, opts.sta).summary;
         if (after.critical_delay_ps < tr.critical_delay_ps) {
             tr = after;
             res.cells_resized += resized;

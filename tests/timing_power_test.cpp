@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "janus/netlist/generator.hpp"
+#include "janus/place/analytic_place.hpp"
+#include "janus/place/legalize.hpp"
 #include "janus/power/activity.hpp"
 #include "janus/power/decap.hpp"
 #include "janus/power/power_grid.hpp"
 #include "janus/power/power_intent.hpp"
 #include "janus/power/power_model.hpp"
+#include "janus/timing/delay_model.hpp"
 #include "janus/timing/sta.hpp"
+#include "janus/timing/timing_graph.hpp"
 
 namespace janus {
 namespace {
@@ -34,8 +41,10 @@ TEST(Sta, ChainDelayAccumulates) {
     }
     nl.add_primary_output("y", cur);
     const TimingReport r = run_sta(nl);
+    TimingGraph tg(nl);
+    tg.analyze();
     for (std::size_t i = 1; i < stages.size(); ++i) {
-        EXPECT_GT(r.arrival[stages[i]], r.arrival[stages[i - 1]]);
+        EXPECT_GT(tg.arrivals()[stages[i]], tg.arrivals()[stages[i - 1]]);
     }
     EXPECT_EQ(r.critical_path.size(), 8u);
     EXPECT_GT(r.critical_delay_ps, 8 * 16.0);  // at least 8 intrinsic delays
@@ -73,10 +82,12 @@ TEST(Sta, SequentialPathsUseSetupAndClkToQ) {
     StaOptions opts;
     opts.clk_to_q_ps = 50.0;
     const TimingReport r = run_sta(nl, opts);
+    TimingGraph tg(nl, opts);
+    tg.analyze();
     // Q arrival includes clk-to-q.
-    EXPECT_GE(r.arrival[nl.instance(f).output], 50.0);
+    EXPECT_GE(tg.arrivals()[nl.instance(f).output], 50.0);
     // D endpoint required is period - setup.
-    EXPECT_LE(r.required[nl.instance(g1).output],
+    EXPECT_LE(tg.requireds()[nl.instance(g1).output],
               opts.clock_period_ps - opts.setup_ps);
     EXPECT_TRUE(r.met());
 }
@@ -104,6 +115,138 @@ TEST(Sta, FormatReportMentionsDesign) {
     const std::string s = format_timing_report(nl, r);
     EXPECT_NE(s.find("adder4"), std::string::npos);
     EXPECT_NE(s.find("critical"), std::string::npos);
+}
+
+// ------------------------------------------------------------ delay model
+
+// Verbatim copies of the allocation-based delay model the in-place kernel
+// replaced (and of the point-list HPWL it boxed with), their calls
+// qualified so argument-dependent lookup cannot pick the library's. The
+// library must return the same bits on every net and instance.
+namespace reference {
+
+std::int64_t hpwl(const std::vector<Point>& pts) {
+    if (pts.empty()) return 0;
+    Rect r{pts.front(), pts.front()};
+    for (const Point& p : pts) {
+        r.lo.x = std::min(r.lo.x, p.x);
+        r.lo.y = std::min(r.lo.y, p.y);
+        r.hi.x = std::max(r.hi.x, p.x);
+        r.hi.y = std::max(r.hi.y, p.y);
+    }
+    return r.width() + r.height();
+}
+
+double estimate_net_length_um(const Netlist& nl, NetId net, const WireModel& wm) {
+    // Gather pin positions; fall back to wireload when any pin is unplaced.
+    const Net& n = nl.net(net);
+    std::vector<Point> pins;
+    bool all_placed = true;
+    if (n.driver_kind == DriverKind::Instance) {
+        const Instance& d = nl.instance(n.driver_inst);
+        if (d.placed) {
+            pins.push_back(d.position);
+        } else {
+            all_placed = false;
+        }
+    }
+    for (const SinkRef& s : nl.sinks(net)) {
+        const Instance& i = nl.instance(s.inst());
+        if (i.placed) {
+            pins.push_back(i.position);
+        } else {
+            all_placed = false;
+        }
+    }
+    if (all_placed && pins.size() >= 2) {
+        // Positions are in DBU = nm here; convert to um.
+        return static_cast<double>(hpwl(pins)) * 1e-3;
+    }
+    return wm.um_per_fanout * static_cast<double>(std::max<std::size_t>(1, nl.fanout_count(net)));
+}
+
+double net_load_ff(const Netlist& nl, NetId net, const WireModel& wm) {
+    double cap = reference::estimate_net_length_um(nl, net, wm) * wm.cap_ff_per_um;
+    for (const SinkRef& s : nl.sinks(net)) {
+        cap += nl.type_of(s.inst()).input_cap_ff;
+    }
+    return cap;
+}
+
+double instance_delay_ps(const Netlist& nl, InstId inst, const WireModel& wm) {
+    const CellType& ct = nl.type_of(inst);
+    const NetId out = nl.instance(inst).output;
+    const double load = reference::net_load_ff(nl, out, wm);
+    const double len = reference::estimate_net_length_um(nl, out, wm);
+    const double wire_delay =
+        0.5 * (len * wm.res_ohm_per_um) * (len * wm.cap_ff_per_um) * 1e-3;
+    return ct.intrinsic_delay_ps + ct.drive_res_kohm * load + wire_delay;
+}
+
+}  // namespace reference
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Every net's length and load and every instance's delay, library against
+// reference, compared with memcmp.
+void expect_delay_model_matches_reference(const Netlist& nl, const WireModel& wm) {
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+        ASSERT_TRUE(same_bits(estimate_net_length_um(nl, n, wm),
+                              reference::estimate_net_length_um(nl, n, wm)))
+            << "length of net " << n;
+        ASSERT_TRUE(same_bits(net_load_ff(nl, n, wm),
+                              reference::net_load_ff(nl, n, wm)))
+            << "load of net " << n;
+    }
+    for (InstId i = 0; i < nl.num_instances(); ++i) {
+        ASSERT_TRUE(same_bits(instance_delay_ps(nl, i, wm),
+                              reference::instance_delay_ps(nl, i, wm)))
+            << "delay of instance " << i;
+    }
+}
+
+TEST(DelayModel, InPlaceKernelMatchesAllocatingFormulasBitForBit) {
+    const TechnologyNode node = *find_node("28nm");
+    const WireModel wm = WireModel::for_node(node);
+
+    // (a) A placed pipelined mesh with primary I/O: every net of two or
+    // more pins takes the HPWL path.
+    Netlist mesh = generate_mesh(lib28(), 2000, 5, 2);
+    ASSERT_FALSE(mesh.primary_inputs().empty());
+    ASSERT_FALSE(mesh.primary_outputs().empty());
+    const PlacementArea area = make_placement_area(mesh, node, 0.65);
+    analytic_place(mesh, area);
+    legalize(mesh, area);
+    for (InstId i = 0; i < mesh.num_instances(); ++i) {
+        ASSERT_TRUE(mesh.instance(i).placed);
+    }
+    {
+        SCOPED_TRACE("placed mesh");
+        expect_delay_model_matches_reference(mesh, wm);
+    }
+
+    // (b) The same design with every 7th instance unplaced: the nets that
+    // touch one take the wireload fallback through fanout_count().
+    for (InstId i = 0; i < mesh.num_instances(); i += 7) {
+        mesh.instance(i).placed = false;
+    }
+    {
+        SCOPED_TRACE("partly placed mesh");
+        expect_delay_model_matches_reference(mesh, wm);
+    }
+
+    // (c) An unplaced random design with primary outputs: wireload only.
+    GeneratorConfig cfg;
+    cfg.num_gates = 1500;
+    cfg.num_flops = 30;
+    cfg.num_outputs = 24;
+    cfg.seed = 13;
+    const Netlist random = generate_random(lib28(), cfg);
+    ASSERT_FALSE(random.primary_outputs().empty());
+    {
+        SCOPED_TRACE("unplaced random");
+        expect_delay_model_matches_reference(random, wm);
+    }
 }
 
 // ---------------------------------------------------------------- activity

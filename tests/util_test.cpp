@@ -58,12 +58,6 @@ TEST(Geometry, BoundingBoxOfRects) {
     EXPECT_EQ(bounding_box(a, Rect{}), a);
 }
 
-TEST(Geometry, Hpwl) {
-    EXPECT_EQ(hpwl({}), 0);
-    EXPECT_EQ(hpwl({{3, 7}}), 0);
-    EXPECT_EQ(hpwl({{0, 0}, {10, 5}, {2, 8}}), 10 + 8);
-}
-
 TEST(Geometry, RectGap) {
     const Rect a{0, 0, 10, 10};
     EXPECT_EQ(rect_gap(a, Rect{12, 0, 20, 10}), 2);
